@@ -8,7 +8,7 @@
 #                   and telemetry smoke runs that exercise the
 #                   metrics/trace exports — including the sharded
 #                   telemetry plane, the scenario metric checkpoints and
-#                   the fixed-vs-adaptive window-policy byte comparison.
+#                   the batched-admission worker-count byte comparison.
 
 GO ?= go
 BENCHTMP ?= /tmp/hetgrid_bench
@@ -63,12 +63,7 @@ race:
 # pair (ChurnStormSharded W=1 / W=max) runs the same way: it prices
 # churn prep, barrier flushes and parallel completions, and gating it
 # keeps the serial ChurnStorm entry honest — batching must not creep
-# back into the serial path. The window-policy pair
-# (ShardedHeartbeatAdaptive, window=fixed / window=adaptive over the
-# identical heartbeat steady state) joins the two-process suites: its
-# fixed entry keeps the policy dispatch from taxing the fixed path and
-# its adaptive entry prices the wide-window machinery; the anchored
-# regex keeps the ungated 100k smoke variant out of the gate.
+# back into the serial path.
 bench:
 	$(GO) test -run '^$$' -bench 'Placement|PlaceSteadyState|AggRefresh$$' \
 		-benchmem -benchtime 1000x -count 10 . | tee $(BENCHTMP)_hot.txt
@@ -88,10 +83,6 @@ bench:
 		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_batch1.txt
 	$(GO) test -run '^$$' -bench 'ChurnStormSharded$$' \
 		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_batch2.txt
-	$(GO) test -run '^$$' -bench 'ShardedHeartbeatAdaptive$$' \
-		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_win1.txt
-	$(GO) test -run '^$$' -bench 'ShardedHeartbeatAdaptive$$' \
-		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_win2.txt
 	$(GO) test -run '^$$' -bench 'Fig5InterArrival|Fig8Messages|HeartbeatRound|ChurnRound|WorkloadGen' \
 		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_figs1.txt
 	$(GO) test -run '^$$' -bench 'Fig5InterArrival|Fig8Messages|HeartbeatRound|ChurnRound|WorkloadGen' \
@@ -101,7 +92,7 @@ bench:
 		$(BENCHTMP)_shard1.txt $(BENCHTMP)_shard2.txt \
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_batch1.txt $(BENCHTMP)_batch2.txt \
-		$(BENCHTMP)_win1.txt $(BENCHTMP)_win2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
+		$(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
 	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 10 -prev BENCH_9.json -gate 15 -out BENCH_10.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
@@ -121,10 +112,6 @@ bench-xl:
 # (ShardedHeartbeat100k) and heartbeats under sustained batched-
 # admission churn (ChurnStormSharded100k); each pair's W=1/W=max ns/op
 # ratio in the log is the engine's parallel speedup on this runner.
-# The window-policy smoke (ShardedHeartbeatAdaptive100k) runs the same
-# 100k heartbeat steady state under the fixed and adaptive policies:
-# its fixed/adaptive ns/op ratio is the widening's wall-clock win, and
-# it fails outright unless adaptive cuts the barrier count ≥ 10×.
 # Ungated like bench-xl — single iterations are too noisy to gate, and
 # the 10k ChurnStorm entry in the BENCH_*.json gate already pins the
 # splice path's cost — but the run fails outright if the splice path
@@ -132,7 +119,7 @@ bench-xl:
 # the churn storm never injects a failure. The generous timeout is
 # headroom for slow shared runners.
 bench-xxl:
-	$(GO) test -run '^$$' -bench 'ScaleXXLLoadBalance|ChurnStormXXL|ShardedHeartbeat100k|ChurnStormSharded100k|ShardedHeartbeatAdaptive100k' \
+	$(GO) test -run '^$$' -bench 'ScaleXXLLoadBalance|ChurnStormXXL|ShardedHeartbeat100k|ChurnStormSharded100k' \
 		-benchtime 1x -count 1 -timeout 60m . | tee $(BENCHTMP)_xxl.txt
 
 # bench-xxxl is the million-node smoke — the regime the sharded core
@@ -177,11 +164,10 @@ metrics-smoke: build
 # the same treatment cross-engine: the churn-storm scenario runs under
 # -engine serial, -shards 1 and -shards 4 and all three reports must be
 # byte-identical (the engine key buys wall-clock only, never accuracy).
-# The window policy gets the same differential treatment: the
-# churn-storm scenario runs under -window fixed and -window adaptive
-# with telemetry export, and both the reports and the exported streams
-# must be byte-identical — widening a window buys wall-clock only,
-# never a different history (DESIGN.md §15).
+# Batched admission gets a worker-count differential: the churn-storm
+# scenario runs under -admission batched -shards 4 at -workers 1 and
+# -workers 2 with telemetry export, and both the reports and the
+# exported streams must be byte-identical — W buys wall-clock only.
 # It also tightens a metric checkpoint past what the run achieves and
 # requires the CLI to exit non-zero, proving checkpoints actually gate.
 # Reports land in $(ARTIFACTS)/ (uploaded by CI).
@@ -210,16 +196,16 @@ scenario-smoke: build
 		|| { echo "scenario-smoke: sharded report not byte-identical to serial"; exit 1; }
 	@cmp $(ARTIFACTS)/churn_storm_s1.txt $(ARTIFACTS)/churn_storm_s4.txt \
 		|| { echo "scenario-smoke: S=1 and S=4 reports differ"; exit 1; }
-	$(GO) run ./cmd/hetgridsim run -window fixed -metrics $(ARTIFACTS)/churn_storm_wfixed.jsonl \
-		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_wfixed.txt
-	$(GO) run ./cmd/hetgridsim run -window adaptive -metrics $(ARTIFACTS)/churn_storm_wadaptive.jsonl \
-		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_wadaptive.txt
-	@cmp $(ARTIFACTS)/churn_storm_wfixed.txt $(ARTIFACTS)/churn_storm_wadaptive.txt \
-		|| { echo "scenario-smoke: fixed and adaptive window reports differ"; exit 1; }
-	@cmp $(ARTIFACTS)/churn_storm_wfixed.jsonl $(ARTIFACTS)/churn_storm_wadaptive.jsonl \
-		|| { echo "scenario-smoke: fixed and adaptive window telemetry differs"; exit 1; }
-	@cmp $(ARTIFACTS)/churn_storm_s4.txt $(ARTIFACTS)/churn_storm_wadaptive.txt \
-		|| { echo "scenario-smoke: adaptive window report diverged from serial-parity baseline"; exit 1; }
+	$(GO) run ./cmd/hetgridsim run -admission batched -shards 4 -workers 1 \
+		-metrics $(ARTIFACTS)/churn_storm_batched_w1.jsonl \
+		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_batched_w1.txt
+	$(GO) run ./cmd/hetgridsim run -admission batched -shards 4 -workers 2 \
+		-metrics $(ARTIFACTS)/churn_storm_batched_w2.jsonl \
+		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_batched_w2.txt
+	@cmp $(ARTIFACTS)/churn_storm_batched_w1.txt $(ARTIFACTS)/churn_storm_batched_w2.txt \
+		|| { echo "scenario-smoke: batched W=1 and W=2 reports differ"; exit 1; }
+	@cmp $(ARTIFACTS)/churn_storm_batched_w1.jsonl $(ARTIFACTS)/churn_storm_batched_w2.jsonl \
+		|| { echo "scenario-smoke: batched W=1 and W=2 telemetry differs"; exit 1; }
 	@sed 's/^    min: 36$$/    min: 40/' examples/scenarios/checkpointed_recovery.yaml \
 		> $(ARTIFACTS)/checkpoint_violated.yaml
 	@if $(GO) run ./cmd/hetgridsim run $(ARTIFACTS)/checkpoint_violated.yaml \
@@ -227,6 +213,6 @@ scenario-smoke: build
 		echo "scenario-smoke: violated checkpoint did not fail the run"; exit 1; fi
 	@grep -q 'below min 40' $(ARTIFACTS)/checkpoint_violated.txt \
 		|| { echo "scenario-smoke: checkpoint violation missing from report"; exit 1; }
-	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + window-policy parity, checkpoint gate enforced)"
+	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + batched worker parity, checkpoint gate enforced)"
 
 verify: build vet race bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke

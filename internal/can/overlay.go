@@ -214,9 +214,10 @@ func (o *Overlay) snapLeave(id NodeID) {
 	o.snapVersion = o.Version()
 }
 
-// ErrDuplicatePoint is returned by Join when the joining coordinate
-// collides exactly with the owner of the zone it lands in; the caller
-// should redraw the virtual coordinate and retry.
+// ErrDuplicatePoint is returned by Join when no plane can separate the
+// joining coordinate from the owner of the zone it lands in — the points
+// coincide, or differ only by adjacent floats; the caller should redraw
+// the virtual coordinate and retry.
 var ErrDuplicatePoint = errors.New("can: joining point coincides with zone owner's point")
 
 // Join inserts a node at the given coordinate and returns it. The zone
@@ -303,32 +304,27 @@ func leafOf(a, b *treeNode, n *Node) *treeNode {
 // cubic so the average neighbor count stays O(d) rather than blowing up
 // with elongated sliver zones. Width ties (common with catalog-valued
 // coordinates) break toward larger point separation. The plane lies
-// midway between the two points. ok is false when the points coincide
-// in every dimension.
+// midway between the two points; a dimension whose rounded midpoint
+// does not lie above the lower point (adjacent floats) cannot separate
+// them and is skipped. ok is false when no dimension is left.
 func chooseSplit(z geom.Zone, a, b geom.Point) (dim int, plane float64, ok bool) {
 	bestWidth, bestSep := 0.0, 0.0
 	dim = -1
 	for i := range a {
-		sep := a[i] - b[i]
-		if sep < 0 {
-			sep = -sep
+		lo, hi := a[i], b[i]
+		if lo > hi {
+			lo, hi = hi, lo
 		}
-		if sep == 0 {
+		mid := (lo + hi) / 2
+		if !(mid > lo) {
 			continue
 		}
-		w := z.Width(i)
+		w, sep := z.Width(i), hi-lo
 		if w > bestWidth || (w == bestWidth && sep > bestSep) {
-			bestWidth, bestSep, dim = w, sep, i
+			bestWidth, bestSep, dim, plane = w, sep, i, mid
 		}
 	}
-	if dim < 0 {
-		return 0, 0, false
-	}
-	lo, hi := a[dim], b[dim]
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return dim, (lo + hi) / 2, true
+	return dim, plane, dim >= 0
 }
 
 // locate descends the tree to the leaf whose zone contains p.

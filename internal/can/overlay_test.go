@@ -1,6 +1,7 @@
 package can
 
 import (
+	"math"
 	"testing"
 
 	"hetgrid/internal/geom"
@@ -85,6 +86,38 @@ func TestJoinDuplicatePointRejected(t *testing.T) {
 	}
 	if _, err := o.Join(p.Clone(), nil); err != ErrDuplicatePoint {
 		t.Fatalf("duplicate join error = %v, want ErrDuplicatePoint", err)
+	}
+}
+
+// TestJoinAdjacentFloatsOnLowerFace pins the split-plane rounding case:
+// two points one ulp apart, the lower one on its zone's lower face, have
+// a midpoint that rounds onto that face. Join must report the points as
+// inseparable instead of panicking in Zone.Split.
+func TestJoinAdjacentFloatsOnLowerFace(t *testing.T) {
+	o := NewOverlay(2)
+	for _, p := range []geom.Point{{0.25, 0.5}, {0.75, 0.5}, {0.5, 0.5}} {
+		if _, err := o.Join(p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The node at 0.5 owns [0.5, 0.625) in dimension 0.
+	next := math.Nextafter(0.5, 1)
+	if _, err := o.Join(geom.Point{next, 0.5}, nil); err != ErrDuplicatePoint {
+		t.Fatalf("adjacent-float join error = %v, want ErrDuplicatePoint", err)
+	}
+	if err := o.Validate(); err != nil {
+		t.Fatalf("overlay invalid after rejected join: %v", err)
+	}
+	// Differing in a second dimension leaves a plane to split on.
+	n, err := o.Join(geom.Point{next, 0.75}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !n.Zone.Contains(n.Point) {
+		t.Fatalf("joined node's zone %v does not contain its point %v", n.Zone, n.Point)
+	}
+	if err := o.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -58,17 +58,6 @@ func (sn *ShardedNet) Shards() int { return len(sn.facets) }
 // Latency returns the one-way delivery latency.
 func (sn *ShardedNet) Latency() sim.Duration { return sn.latency }
 
-// EarliestUndelivered reports the earliest in-flight arrival time from
-// shard src's facet to shard dst — mail posted but not yet flushed into
-// the destination queue — with ok false when none is in flight. This is
-// the per-shard-pair transport horizon the adaptive window policy (and
-// its tests) reason with: a window may never widen past the earliest
-// undelivered arrival, because delivery must happen in the hop
-// containing it. Barrier/control-plane use only.
-func (sn *ShardedNet) EarliestUndelivered(src, dst int) (sim.Time, bool) {
-	return sn.se.MailNext(src, dst)
-}
-
 // SetDeliverable installs one liveness check on every facet. The check
 // runs on the destination shard's worker (envelope path) or the control
 // plane (closure path), so it must only read state that parallel-phase

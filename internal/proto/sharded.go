@@ -112,18 +112,8 @@ func NewShardedSim(shards, workers, dims int, cfg Config) *ShardedSim {
 		// every batch drain.
 		se.SetAfterBatchDrain(ss.flushPending)
 	}
-	// Adaptive windows (sim.WindowAdaptive) may only widen while the
-	// model holds no deferred barrier work: pending batched-admission
-	// completions flush at window barriers, so widening across them
-	// would move their flush points. Strict mode never holds any.
-	se.SetWindowAdvisor(ss.batchQuiescent)
 	return ss
 }
-
-// batchQuiescent reports whether the batch plane holds no deferred
-// admission completions — the model half of adaptive-window
-// eligibility.
-func (ss *ShardedSim) batchQuiescent() bool { return ss.pendCount == 0 }
 
 // Shards returns the shard count S.
 func (ss *ShardedSim) Shards() int { return len(ss.shards) }
@@ -242,25 +232,6 @@ func (ss *ShardedSim) ShardViewStats(i int) (entries, hosts int) {
 		entries += len(h.view.entries)
 	}
 	return entries, len(s.hosts)
-}
-
-// ShardHeartbeatHorizon returns the earliest scheduled heartbeat tick
-// among shard i's live hosts — the shard's steady-state event horizon,
-// the bound adaptive windows widen toward when nothing else is pending.
-// ok is false when the shard has no live host with a scheduled tick.
-// Control-plane (or quiesced-engine) use only; under batched admission
-// it flushes pending completions first (read rule), since an admitted
-// host's first tick is part of its completion.
-func (ss *ShardedSim) ShardHeartbeatHorizon(i int) (sim.Time, bool) {
-	ss.flushPendingIfBatched()
-	var m sim.Time
-	ok := false
-	for _, h := range ss.shards[i].hosts {
-		if t, valid := h.tick.At(); valid && (!ok || t < m) {
-			m, ok = t, true
-		}
-	}
-	return m, ok
 }
 
 // Join admits a capability-less node at point p (control plane).

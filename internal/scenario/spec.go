@@ -24,7 +24,6 @@ type Spec struct {
 	Engine      string       // serial (default) | sharded
 	Shards      int          // sharded engine: shard count (0 = default 4)
 	Workers     int          // sharded engine: worker goroutines (0 = GOMAXPROCS)
-	Window      string       // sharded engine: window policy — fixed (default) | adaptive
 	Admission   string       // sharded engine: admission mode — strict (default) | batched
 	Grid        GridSpec
 	Workload    WorkloadSpec
@@ -43,10 +42,6 @@ func (s *Spec) ShardCount() int {
 	}
 	return 4
 }
-
-// AdaptiveWindows reports whether the spec selects the adaptive window
-// policy on the sharded core.
-func (s *Spec) AdaptiveWindows() bool { return s.Window == "adaptive" }
 
 // BatchedAdmission reports whether the spec selects batched admission
 // on the sharded core.
@@ -150,13 +145,12 @@ func Load(src string) (*Spec, error) {
 	top := d.mapping(root, "scenario")
 
 	spec := &Spec{
-		Name:     d.str(top, "name", ""),
-		Seed:     d.int64(top, "seed", 1),
-		Duration: d.dur(top, "duration", 0),
-		Engine:   d.str(top, "engine", "serial"),
-		Shards:   d.count(top, "shards", 0),
-		Workers:  d.count(top, "workers", 0),
-		Window:   d.str(top, "window", ""),
+		Name:      d.str(top, "name", ""),
+		Seed:      d.int64(top, "seed", 1),
+		Duration:  d.dur(top, "duration", 0),
+		Engine:    d.str(top, "engine", "serial"),
+		Shards:    d.count(top, "shards", 0),
+		Workers:   d.count(top, "workers", 0),
 		Admission: d.str(top, "admission", ""),
 	}
 
@@ -227,7 +221,7 @@ func Load(src string) (*Spec, error) {
 			"no_orphans", "max_lost", "min_finished", "max_broken_links", "bounds")
 	}
 
-	d.rejectUnknown(top, "scenario", "name", "seed", "duration", "engine", "shards", "workers", "window", "admission", "grid", "workload", "events", "checkpoints", "assert")
+	d.rejectUnknown(top, "scenario", "name", "seed", "duration", "engine", "shards", "workers", "admission", "grid", "workload", "events", "checkpoints", "assert")
 	d.rejectUnknown(g, "grid", "nodes", "racks", "gpu_slots", "protocol", "heartbeat", "scheduler", "refresh")
 
 	if d.err != nil {
@@ -246,6 +240,20 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("scenario %s: grid.nodes must be at least 1", s.Name)
 	case s.Grid.Racks < 1:
 		return fmt.Errorf("scenario %s: grid.racks must be at least 1", s.Name)
+	case s.Grid.GPUSlots < 0 || s.Grid.GPUSlots > 3:
+		return fmt.Errorf("scenario %s: grid.gpu_slots must be in 0..3", s.Name)
+	}
+	if w := s.Workload; w.Jobs > 0 {
+		switch {
+		case w.MeanGap <= 0:
+			return fmt.Errorf("scenario %s: workload.mean_gap must be positive", s.Name)
+		case !(w.GPUFraction >= 0 && w.GPUFraction <= 1):
+			return fmt.Errorf("scenario %s: workload.gpu_fraction must be in [0,1]", s.Name)
+		case !(w.ConstraintRatio >= 0 && w.ConstraintRatio <= 1):
+			return fmt.Errorf("scenario %s: workload.constraint_ratio must be in [0,1]", s.Name)
+		case w.MinRun > w.MaxRun:
+			return fmt.Errorf("scenario %s: workload.min_run %s exceeds max_run %s", s.Name, fmtDur(w.MinRun), fmtDur(w.MaxRun))
+		}
 	}
 	switch s.Engine {
 	case "", "serial", "sharded":
@@ -261,18 +269,13 @@ func (s *Spec) validate() error {
 	if (s.Shards > 0 || s.Workers > 0) && !s.Sharded() {
 		return fmt.Errorf("scenario %s: shards/workers require `engine: sharded`", s.Name)
 	}
-	switch s.Window {
-	case "", "fixed", "adaptive":
-	default:
-		return fmt.Errorf("scenario %s: unknown window policy %q (fixed or adaptive)", s.Name, s.Window)
-	}
 	switch s.Admission {
 	case "", "strict", "batched":
 	default:
 		return fmt.Errorf("scenario %s: unknown admission mode %q (strict or batched)", s.Name, s.Admission)
 	}
-	if (s.Window != "" || s.Admission != "") && !s.Sharded() {
-		return fmt.Errorf("scenario %s: window/admission require `engine: sharded`", s.Name)
+	if s.Admission != "" && !s.Sharded() {
+		return fmt.Errorf("scenario %s: admission modes require `engine: sharded`", s.Name)
 	}
 	switch s.Grid.Protocol {
 	case "vanilla", "compact", "adaptive":

@@ -85,10 +85,14 @@ func TestLoadErrors(t *testing.T) {
 		{"shards without sharded", "name: x\nduration: 1m\nshards: 4\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
 		{"workers without sharded", "name: x\nduration: 1m\nengine: serial\nworkers: 2\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
 		{"negative shards", "name: x\nduration: 1m\nengine: sharded\nshards: -1\ngrid:\n  nodes: 4\n", "shards must be non-negative"},
-		{"unknown window", "name: x\nduration: 1m\nengine: sharded\nwindow: elastic\ngrid:\n  nodes: 4\n", "unknown window policy"},
+		{"unknown window", "name: x\nduration: 1m\nengine: sharded\nwindow: adaptive\ngrid:\n  nodes: 4\n", `unknown field "window"`},
 		{"unknown admission", "name: x\nduration: 1m\nengine: sharded\nadmission: eager\ngrid:\n  nodes: 4\n", "unknown admission mode"},
-		{"window without sharded", "name: x\nduration: 1m\nwindow: adaptive\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
 		{"admission without sharded", "name: x\nduration: 1m\nengine: serial\nadmission: batched\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
+		{"gpu slots range", "name: x\nduration: 1m\ngrid:\n  nodes: 4\n  gpu_slots: 9\n", "gpu_slots must be in 0..3"},
+		{"zero mean gap", valid + "workload:\n  jobs: 5\n  mean_gap: 0s\n", "mean_gap must be positive"},
+		{"gpu fraction range", valid + "workload:\n  jobs: 5\n  gpu_fraction: 3\n", "gpu_fraction must be in [0,1]"},
+		{"constraint ratio range", valid + "workload:\n  jobs: 5\n  constraint_ratio: -0.1\n", "constraint_ratio must be in [0,1]"},
+		{"min run above max run", valid + "workload:\n  jobs: 5\n  min_run: 20m\n  max_run: 10m\n", "exceeds max_run"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,17 +121,17 @@ func TestLoadEngineKeys(t *testing.T) {
 	if spec.ShardCount() != 4 || spec.Workers != 0 {
 		t.Errorf("sharded defaults = S=%d W=%d, want S=4 W=0 (GOMAXPROCS)", spec.ShardCount(), spec.Workers)
 	}
-	if spec.AdaptiveWindows() || spec.BatchedAdmission() {
-		t.Errorf("defaults = window %q admission %q, want fixed/strict", spec.Window, spec.Admission)
+	if spec.BatchedAdmission() {
+		t.Errorf("default admission = %q, want strict", spec.Admission)
 	}
-	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\nwindow: adaptive\nadmission: batched\ngrid:\n  nodes: 4\n")
-	if !spec.AdaptiveWindows() || !spec.BatchedAdmission() {
-		t.Errorf("window/admission keys = %q/%q, want adaptive/batched", spec.Window, spec.Admission)
+	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\nadmission: batched\ngrid:\n  nodes: 4\n")
+	if !spec.BatchedAdmission() {
+		t.Errorf("admission key = %q, want batched", spec.Admission)
 	}
-	// The explicit defaults spell out the same policies.
-	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\nwindow: fixed\nadmission: strict\ngrid:\n  nodes: 4\n")
-	if spec.AdaptiveWindows() || spec.BatchedAdmission() {
-		t.Errorf("explicit defaults = window %q admission %q, want fixed/strict", spec.Window, spec.Admission)
+	// The explicit default spells out the same mode.
+	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\nadmission: strict\ngrid:\n  nodes: 4\n")
+	if spec.BatchedAdmission() {
+		t.Errorf("explicit default admission = %q, want strict", spec.Admission)
 	}
 }
 

@@ -78,8 +78,8 @@ func (w *World) attachTelemetry(interval sim.Duration) {
 	metricsreg.RegisterClusterCounters(w.plane, w.cluster)
 	metricsreg.RegisterNetCounters(w.plane, w.pnet, "net")
 	if w.ssim != nil {
-		// Aux stream only: window-policy counters are policy-dependent by
-		// design, so they are excluded from the canonical byte-compared
+		// Aux stream only: window counters exist only on the sharded
+		// engine, so they are excluded from the canonical byte-compared
 		// export (see metrics.Plane aux series).
 		metricsreg.RegisterWindowAux(w.plane, w.ssim.SE)
 	}

@@ -104,10 +104,10 @@ func newWorld(spec *Spec, sampleEvery sim.Duration) (*World, error) {
 	// total order a serial engine gives them. Strict (non-batched)
 	// admission keeps reports byte-identical to the serial engine.
 	var (
-		eng   *sim.Engine
-		psim  protoPlane
-		pnet  protoNet
-		ssim  *proto.ShardedSim
+		eng  *sim.Engine
+		psim protoPlane
+		pnet protoNet
+		ssim *proto.ShardedSim
 	)
 	if spec.Sharded() {
 		if pcfg.HeartbeatPeriod <= pcfg.Latency {
@@ -115,9 +115,6 @@ func newWorld(spec *Spec, sampleEvery sim.Duration) (*World, error) {
 		}
 		pcfg.BatchedAdmission = spec.BatchedAdmission()
 		ssim = proto.NewShardedSim(spec.ShardCount(), spec.Workers, space.Dims(), pcfg)
-		if spec.AdaptiveWindows() {
-			ssim.SE.SetWindowPolicy(sim.WindowAdaptive)
-		}
 		eng = ssim.SE.Global()
 		psim, pnet = ssim, ssim.Net
 	} else {

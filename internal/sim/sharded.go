@@ -78,27 +78,12 @@ type ShardedEngine struct {
 	// mail[src*(S+2)+dst] buffers cross-shard sends; column S is the
 	// global engine and column S+1 the batch engine. Row block src is
 	// written only by the goroutine executing shard src (or the serial
-	// control phase). rowMin[i] caches the earliest arrival buffered in
-	// row i, valid while the row is non-empty. flushBuf is barrier-local
-	// scratch for the per-destination merge sort.
+	// control phase). flushBuf is barrier-local scratch for the
+	// per-destination merge sort.
 	mail     [][]mailEntry
-	rowMin   []Time
 	flushBuf []mailEntry
 
-	// Wide-window state (see window.go). mailAlt/rowMinAlt is the second
-	// mailbox generation: inside a wide window the caller swaps the
-	// generations each hop, so workers flush the frozen previous hop's
-	// rows while the shards they run post into the current ones. hopBuf
-	// holds per-destination flush scratch (hopBuf[i] is owned by the
-	// worker that owns shard i).
-	mailAlt   [][]mailEntry
-	rowMinAlt []Time
-	hopBuf    [][]mailEntry
-
-	policy   WindowPolicy
-	advisor  func() bool
-	onWindow func(start, end Time)
-	wstats   WindowStats
+	wstats WindowStats
 
 	windowEnd Time // exclusive bound of the current/last window
 
@@ -128,14 +113,12 @@ type ShardedEngine struct {
 }
 
 // workItem is one barrier dispatch to a worker: a window sweep (fn nil,
-// run shard events before end), a wide-window hop (flush set: flush the
-// owned mail columns from the frozen generation first), or a per-shard
-// task fan-out (fn non-nil, called once per owned shard). A small
-// struct keeps the hot window path allocation-free.
+// run shard events before end) or a per-shard task fan-out (fn non-nil,
+// called once per owned shard). A small struct keeps the hot window
+// path allocation-free.
 type workItem struct {
-	end   Time
-	flush bool
-	fn    func(shard int)
+	end Time
+	fn  func(shard int)
 }
 
 type mailEntry struct {
@@ -177,7 +160,6 @@ func NewSharded(shards int, lookahead Duration) *ShardedEngine {
 		batch:   New(),
 		look:    lookahead,
 		mail:    make([][]mailEntry, shards*(shards+2)),
-		rowMin:  make([]Time, shards*(shards+2)),
 		workers: 1,
 	}
 	for i := range se.shards {
@@ -304,17 +286,7 @@ func (se *ShardedEngine) Post(src, dst int, at Time, key uint64, c Caller) {
 		panic(fmt.Sprintf("sim: cross-shard post at %d below window bound %d (message carried less than one lookahead)", at, se.windowEnd))
 	}
 	i := src*(len(se.shards)+2) + dst
-	se.postRow(i, mailEntry{at: at, key: key, sub: se.emitSub(), c: c})
-}
-
-// postRow appends an entry to mail row i, maintaining the row's cached
-// earliest-arrival bound (the adaptive window policy reads it between
-// hops; see nextHopStart).
-func (se *ShardedEngine) postRow(i int, m mailEntry) {
-	if len(se.mail[i]) == 0 || m.at < se.rowMin[i] {
-		se.rowMin[i] = m.at
-	}
-	se.mail[i] = append(se.mail[i], m)
+	se.mail[i] = append(se.mail[i], mailEntry{at: at, key: key, sub: se.emitSub(), c: c})
 }
 
 // emitSub stamps a post's tie-break sub-key. Row-ordered posts come
@@ -353,7 +325,7 @@ func (se *ShardedEngine) PostGlobal(src int, at Time, key uint64, h Handler) {
 	}
 	S := len(se.shards)
 	i := src*(S+2) + S
-	se.postRow(i, mailEntry{at: at, key: key, sub: se.emitSub(), h: h})
+	se.mail[i] = append(se.mail[i], mailEntry{at: at, key: key, sub: se.emitSub(), h: h})
 }
 
 // PostBatch buffers a handler for the batch control plane: h fires at
@@ -368,7 +340,7 @@ func (se *ShardedEngine) PostBatch(src int, at Time, key uint64, h Handler) {
 	}
 	S := len(se.shards)
 	i := src*(S+2) + S + 1
-	se.postRow(i, mailEntry{at: at, key: key, sub: se.emitSub(), h: h})
+	se.mail[i] = append(se.mail[i], mailEntry{at: at, key: key, sub: se.emitSub(), h: h})
 }
 
 // flushMail drains every mailbox into its destination queue. Each
@@ -392,69 +364,70 @@ func (se *ShardedEngine) PostBatch(src int, at Time, key uint64, h Handler) {
 func (se *ShardedEngine) flushMail() {
 	S := len(se.shards)
 	for dst := 0; dst <= S+1; dst++ {
-		se.flushBuf = se.flushDstFrom(se.mail, dst, se.flushBuf)
+		buf := se.flushBuf[:0]
+		for src := 0; src < S; src++ {
+			i := src*(S+2) + dst
+			row := se.mail[i]
+			if len(row) == 0 {
+				continue
+			}
+			buf = append(buf, row...)
+			clear(row)
+			se.mail[i] = row[:0]
+		}
+		if len(buf) == 0 {
+			continue
+		}
+		sort.SliceStable(buf, func(i, j int) bool {
+			a, b := &buf[i], &buf[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			aw, bw := a.sub == windowSub, b.sub == windowSub
+			if aw != bw {
+				// Mixed: the serial phases at instant t run before the
+				// window containing t, so their emissions precede.
+				return bw
+			}
+			if !aw {
+				// Both serial-context: pure emission order — exactly the
+				// serial engine's same-instant seq tie-break, whatever rows
+				// the emissions were buffered into.
+				return a.sub < b.sub
+			}
+			// Both window-context: sender key, then row order (stable) —
+			// equal keys come from one worker's row.
+			return a.key < b.key
+		})
+		eng := se.global
+		switch {
+		case dst < S:
+			eng = se.shards[dst]
+		case dst == S+1:
+			eng = se.batch
+		}
+		for _, m := range buf {
+			if m.c != nil {
+				eng.AtCall(m.at, m.c)
+			} else {
+				eng.At(m.at, m.h)
+			}
+		}
+		clear(buf)
+		se.flushBuf = buf[:0]
 	}
 }
 
-// flushDstFrom drains destination dst's column of the given mailbox
-// generation into its engine and returns the (emptied) scratch buffer
-// for reuse. Distinct destinations touch disjoint rows and engines, so
-// wide-window hops may call it concurrently for different dst values
-// with per-destination buffers.
-func (se *ShardedEngine) flushDstFrom(mail [][]mailEntry, dst int, scratch []mailEntry) []mailEntry {
-	S := len(se.shards)
-	buf := scratch[:0]
-	for src := 0; src < S; src++ {
-		i := src*(S+2) + dst
-		row := mail[i]
-		if len(row) == 0 {
-			continue
-		}
-		buf = append(buf, row...)
-		clear(row)
-		mail[i] = row[:0]
-	}
-	if len(buf) == 0 {
-		return buf
-	}
-	sort.SliceStable(buf, func(i, j int) bool {
-		a, b := &buf[i], &buf[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		aw, bw := a.sub == windowSub, b.sub == windowSub
-		if aw != bw {
-			// Mixed: the serial phases at instant t run before the
-			// window containing t, so their emissions precede.
-			return bw
-		}
-		if !aw {
-			// Both serial-context: pure emission order — exactly the
-			// serial engine's same-instant seq tie-break, whatever rows
-			// the emissions were buffered into.
-			return a.sub < b.sub
-		}
-		// Both window-context: sender key, then row order (stable) —
-		// equal keys come from one worker's row.
-		return a.key < b.key
-	})
-	eng := se.global
-	switch {
-	case dst < S:
-		eng = se.shards[dst]
-	case dst == S+1:
-		eng = se.batch
-	}
-	for _, m := range buf {
-		if m.c != nil {
-			eng.AtCall(m.at, m.c)
-		} else {
-			eng.At(m.at, m.h)
-		}
-	}
-	clear(buf)
-	return buf[:0]
+// WindowStats counts the engine's synchronization structure. The
+// counters are observational and must never feed back into model state.
+type WindowStats struct {
+	Windows  int64    // conservative windows executed (barriers)
+	Quiesces int64    // control-phase single-event quiesces
+	SpanSum  Duration // total virtual-time span of all windows
 }
+
+// WindowStats returns the synchronization counters accumulated so far.
+func (se *ShardedEngine) WindowStats() WindowStats { return se.wstats }
 
 // minShardNext returns the earliest pending event time across shards.
 func (se *ShardedEngine) minShardNext() (Time, bool) {
@@ -516,9 +489,6 @@ func (se *ShardedEngine) run(deadline Time, bounded bool) {
 		if bounded && start > deadline {
 			break
 		}
-		if se.policy == WindowAdaptive && se.tryWideWindow(start, g, okg, okb, deadline, bounded) {
-			continue
-		}
 		end := start.Add(se.look)
 		if okg && g < end {
 			end = g
@@ -528,11 +498,7 @@ func (se *ShardedEngine) run(deadline Time, bounded bool) {
 		}
 		se.windowEnd = end
 		se.wstats.Windows++
-		se.wstats.Hops++
 		se.wstats.SpanSum += end.Sub(start)
-		if se.onWindow != nil {
-			se.onWindow(start, end)
-		}
 		// Drain batch events below the bound BEFORE the window body:
 		// their effects may target times inside [start, end), and
 		// installing them first means those events fire in this window
@@ -669,14 +635,11 @@ func (se *ShardedEngine) ensureWorkers() {
 		se.work[k] = ch
 		go func(k int, ch chan workItem) {
 			for it := range ch {
-				switch {
-				case it.fn != nil:
+				if it.fn != nil {
 					for i := k; i < len(se.shards); i += se.workers {
 						it.fn(i)
 					}
-				case it.flush:
-					se.hopWorker(k, it.end, true)
-				default:
+				} else {
 					se.runWorker(k, it.end)
 				}
 				se.wg.Done()
