@@ -1,8 +1,8 @@
 # hetgrid build/verify harness.
 #
 #   make verify   — everything the CI gate runs: build, vet, race tests,
-#                   a short benchmark pass that regenerates BENCH_10.json
-#                   against the BENCH_9.json baseline and fails on >15%
+#                   a short benchmark pass that regenerates BENCH_11.json
+#                   against the BENCH_10.json baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
 #                   and telemetry smoke runs that exercise the
@@ -30,10 +30,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates BENCH_10.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_11.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
-# micro-benchmarks run at 1000 so the overlay caches' one-time build
-# cost amortizes out and ns/op reflects the steady state (the pre-cache
+# micro-benchmarks — placement, aggregation refresh and CAN routing —
+# run at 1000 so the overlay caches' one-time build cost amortizes out
+# and ns/op reflects the steady state (the pre-cache
 # baselines are iteration-count-independent, so the comparison is
 # unaffected). Each suite repeats (-count; 10 for the millisecond-cheap
 # hot suite, 5 for the figure drivers) and benchjson keeps the fastest
@@ -65,7 +66,7 @@ race:
 # keeps the serial ChurnStorm entry honest — batching must not creep
 # back into the serial path.
 bench:
-	$(GO) test -run '^$$' -bench 'Placement|PlaceSteadyState|AggRefresh$$' \
+	$(GO) test -run '^$$' -bench 'Placement|PlaceSteadyState|AggRefresh$$|CANRoute' \
 		-benchmem -benchtime 1000x -count 10 . | tee $(BENCHTMP)_hot.txt
 	$(GO) test -run '^$$' -bench 'AggRefreshIncremental|ChurnStorm$$' \
 		-benchmem -benchtime 100x -count 3 . | tee $(BENCHTMP)_agg1.txt
@@ -93,7 +94,7 @@ bench:
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_batch1.txt $(BENCHTMP)_batch2.txt \
 		$(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 10 -prev BENCH_9.json -gate 15 -out BENCH_10.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 11 -prev BENCH_10.json -gate 15 -out BENCH_11.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane
@@ -169,7 +170,9 @@ metrics-smoke: build
 # -workers 2 with telemetry export, and both the reports and the
 # exported streams must be byte-identical — W buys wall-clock only.
 # It also tightens a metric checkpoint past what the run achieves and
-# requires the CLI to exit non-zero, proving checkpoints actually gate.
+# requires the CLI to exit non-zero, proving checkpoints actually gate,
+# and requires an invalid flag (-arrival 0) to exit non-zero without a
+# panic.
 # Reports land in $(ARTIFACTS)/ (uploaded by CI).
 scenario-smoke: build
 	mkdir -p $(ARTIFACTS)
@@ -213,6 +216,10 @@ scenario-smoke: build
 		echo "scenario-smoke: violated checkpoint did not fail the run"; exit 1; fi
 	@grep -q 'below min 40' $(ARTIFACTS)/checkpoint_violated.txt \
 		|| { echo "scenario-smoke: checkpoint violation missing from report"; exit 1; }
+	@! $(GO) run ./cmd/hetgridsim -arrival 0 > $(ARTIFACTS)/bad_flag.txt 2>&1 \
+		|| { echo "scenario-smoke: -arrival 0 did not fail"; exit 1; }
+	@! grep -q 'panic:' $(ARTIFACTS)/bad_flag.txt \
+		|| { echo "scenario-smoke: -arrival 0 panicked"; exit 1; }
 	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + batched worker parity, checkpoint gate enforced)"
 
 verify: build vet race bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke

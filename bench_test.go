@@ -213,6 +213,11 @@ func BenchmarkCANRoute(b *testing.B) {
 				ov.Join(randomPt(), nil)
 			}
 			nodes := ov.Nodes()
+			// Build every neighbor view up front, so ns/op times the
+			// greedy scan rather than one-time lazy view builds.
+			for _, n := range nodes {
+				ov.NeighborView(n.ID)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				from := nodes[i%len(nodes)]
@@ -548,7 +553,7 @@ func BenchmarkAggRefreshIncremental(b *testing.B) {
 		jobID++
 		j := &exec.Job{
 			ID:           exec.JobID(jobID),
-			Req:          resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 1}}},
+			Req:          resource.JobReq{CE: []resource.CENeed{{Type: resource.TypeCPU, CEReq: resource.CEReq{Cores: 1}}}},
 			Dominant:     resource.TypeCPU,
 			BaseDuration: sim.FromSeconds(1e9),
 		}

@@ -57,6 +57,10 @@ func main() {
 	pprofPath := flag.String("pprof", "", "write a CPU profile to this file")
 	perfStats := flag.Bool("perfstats", false, "enable perf timers and print the counter report to stderr")
 	flag.Parse()
+	if err := checkFlags(*nodes, *jobs, *gpuslots, *arrival, *constraint, *gpufrac); err != nil {
+		fmt.Fprintln(os.Stderr, "hetgridsim:", err)
+		os.Exit(2)
+	}
 
 	stopPerf, err := perf.Instrument(*pprofPath, *perfStats)
 	if err != nil {
@@ -140,6 +144,27 @@ func main() {
 		tab.AddRow(fmt.Sprintf("%.0f", x), fmt.Sprintf("%.2f", 100*w.CDF(x)))
 	}
 	tab.Fprint(os.Stdout)
+}
+
+// checkFlags rejects the flag values the load-balance run cannot take,
+// by the rules scenario validation applies to the matching keys
+// (gpu_slots above 3 is allowed here: more slots only add dimensions).
+func checkFlags(nodes, jobs, gpuslots int, arrival, constraint, gpufrac float64) error {
+	switch {
+	case nodes < 0:
+		return fmt.Errorf("-nodes %d must not be negative", nodes)
+	case jobs < 0:
+		return fmt.Errorf("-jobs %d must not be negative", jobs)
+	case gpuslots < 0:
+		return fmt.Errorf("-gpuslots %d must not be negative", gpuslots)
+	case !(arrival > 0):
+		return fmt.Errorf("-arrival %g must be positive", arrival)
+	case !(constraint >= 0 && constraint <= 1):
+		return fmt.Errorf("-constraint %g must be in [0,1]", constraint)
+	case !(gpufrac >= 0 && gpufrac <= 1):
+		return fmt.Errorf("-gpufrac %g must be in [0,1]", gpufrac)
+	}
+	return nil
 }
 
 func writeJSONL(path string, write func(io.Writer) error) error {

@@ -17,22 +17,34 @@ import (
 // each touching dimension resolved strictly decreases the distance.
 const boundaryEps = 1e-9
 
-// zoneDistance is the Euclidean distance from point p to the zone as a
-// half-open set: the per-dimension gap between p and z's extent,
-// squared and summed. Zero exactly when z contains p.
-func zoneDistance(z geom.Zone, p geom.Point) float64 {
-	sum := 0.0
-	for i := range p {
+// zoneGapSq returns the squared Euclidean distance from point p to the
+// zone as a half-open set — the per-dimension gap between p and z's
+// extent, squared and summed in dimension order — and whether z
+// contains p, which holds exactly when no dimension has a gap. The sum
+// stops early, short of the full distance, once it reaches bound: the
+// terms are non-negative, so the partial sum never decreases and the
+// full one would be at least bound too. A zone that contains p never
+// stops early (it adds no terms).
+func zoneGapSq(z geom.Zone, p geom.Point, bound float64) (sq float64, inside bool) {
+	inside = true
+	lo, hi := z.Lo[:len(p)], z.Hi[:len(p)]
+	for i, x := range p {
 		var gap float64
 		switch {
-		case p[i] < z.Lo[i]:
-			gap = z.Lo[i] - p[i]
-		case p[i] >= z.Hi[i]:
-			gap = p[i] - z.Hi[i] + boundaryEps
+		case x < lo[i]:
+			gap = lo[i] - x
+		case x >= hi[i]:
+			gap = x - hi[i] + boundaryEps
+		default:
+			continue
 		}
-		sum += gap * gap
+		inside = false
+		sq += gap * gap
+		if sq >= bound {
+			return sq, false
+		}
 	}
-	return math.Sqrt(sum)
+	return sq, inside
 }
 
 // Route performs greedy CAN routing from the node from toward the node
@@ -60,18 +72,31 @@ func (o *Overlay) RouteAppend(path []*Node, from NodeID, target geom.Point) ([]*
 	}
 	path = append(path, cur)
 	maxHops := 10*len(o.nodes) + 10
-	for !cur.Zone.Contains(target) {
-		curDist := zoneDistance(cur.Zone, target)
+	for {
+		curSq, arrived := zoneGapSq(cur.Zone, target, math.Inf(1))
+		if arrived {
+			return path, nil
+		}
+		curDist := math.Sqrt(curSq)
+		// The best neighbor is the first of least distance, compared as
+		// distances (square roots): distinct squared gaps can round to
+		// the same root, and such a tie must go to the earlier neighbor.
+		// A neighbor whose partial squared gap already reaches the
+		// best's square cannot have a smaller root (Sqrt is monotone),
+		// so its sum is cut short and it is skipped.
 		var next *Node
-		bestDist := math.Inf(1)
+		bestDist, bestSq := math.Inf(1), math.Inf(1)
 		for _, nb := range o.NeighborView(cur.ID) {
-			if nb.Zone.Contains(target) {
+			sq, in := zoneGapSq(nb.Zone, target, bestSq)
+			if in {
 				next, bestDist = nb, 0
 				break
 			}
-			d := zoneDistance(nb.Zone, target)
-			if d < bestDist {
-				bestDist, next = d, nb
+			if sq >= bestSq {
+				continue
+			}
+			if d := math.Sqrt(sq); d < bestDist {
+				next, bestDist, bestSq = nb, d, sq
 			}
 		}
 		if next == nil || bestDist >= curDist {
@@ -83,5 +108,4 @@ func (o *Overlay) RouteAppend(path []*Node, from NodeID, target geom.Point) ([]*
 			return path, fmt.Errorf("can: routing exceeded %d hops", maxHops)
 		}
 	}
-	return path, nil
 }

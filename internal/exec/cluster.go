@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/perf"
@@ -30,9 +29,11 @@ func DefaultConfig() Config { return Config{Gamma: 0.3} }
 // Cluster owns the runtime state of every grid node and drives job
 // execution through the event engine.
 type Cluster struct {
-	eng   *sim.Engine
-	cfg   Config
-	nodes map[can.NodeID]*Runtime
+	eng *sim.Engine
+	cfg Config
+	// nodes is indexed by NodeID (overlay IDs are dense, counting up
+	// from zero); nil marks an id with no registered node.
+	nodes []*Runtime
 
 	// OnStart, when non-nil, is called as each job begins executing.
 	OnStart func(*Job)
@@ -176,14 +177,20 @@ func (c *Cluster) DrainMembership(fn func(ev MembershipEvent)) bool {
 
 // NewCluster creates an empty cluster on the engine.
 func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
-	return &Cluster{eng: eng, cfg: cfg, nodes: make(map[can.NodeID]*Runtime), allDirty: true, memAll: true}
+	return &Cluster{eng: eng, cfg: cfg, allDirty: true, memAll: true}
 }
 
 // AddNode registers a node's capabilities. It panics on duplicate ids —
 // that is a programming error in the driver.
 func (c *Cluster) AddNode(id can.NodeID, caps *resource.NodeCaps) *Runtime {
-	if c.nodes[id] != nil {
+	if id < 0 {
+		panic(fmt.Sprintf("exec: negative node id %d", id))
+	}
+	if c.Runtime(id) != nil {
 		panic(fmt.Sprintf("exec: duplicate node %d", id))
+	}
+	if n := int(id) + 1; n > len(c.nodes) {
+		c.nodes = append(c.nodes, make([]*Runtime, n-len(c.nodes))...)
 	}
 	r := newRuntime(id, caps)
 	c.nodes[id] = r
@@ -193,16 +200,22 @@ func (c *Cluster) AddNode(id can.NodeID, caps *resource.NodeCaps) *Runtime {
 }
 
 // Runtime returns the runtime state of a node, or nil.
-func (c *Cluster) Runtime(id can.NodeID) *Runtime { return c.nodes[id] }
+func (c *Cluster) Runtime(id can.NodeID) *Runtime {
+	if uint64(id) >= uint64(len(c.nodes)) {
+		return nil
+	}
+	return c.nodes[id]
+}
 
 // Runtimes returns every node's runtime state sorted by id. It is meant
 // for index seeding and diagnostics, not hot paths — it allocates.
 func (c *Cluster) Runtimes() []*Runtime {
-	out := make([]*Runtime, 0, len(c.nodes))
+	var out []*Runtime
 	for _, r := range c.nodes {
-		out = append(out, r)
+		if r != nil {
+			out = append(out, r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -217,6 +230,9 @@ func (c *Cluster) Finished() int { return c.finished }
 // hot paths.
 func (c *Cluster) Totals() (queued, running int) {
 	for _, r := range c.nodes {
+		if r == nil {
+			continue
+		}
 		queued += len(r.queue)
 		running += len(r.run)
 	}
@@ -241,7 +257,7 @@ func (c *Cluster) CheckConservation() error {
 // matchmaking). The job may start immediately if the queue is empty and
 // its CEs are available.
 func (c *Cluster) Submit(j *Job, node can.NodeID) error {
-	r := c.nodes[node]
+	r := c.Runtime(node)
 	if r == nil {
 		return fmt.Errorf("exec: submit to unknown node %d", node)
 	}
@@ -264,11 +280,11 @@ func (c *Cluster) Submit(j *Job, node can.NodeID) error {
 // rate computes a running job's current service rate (nominal seconds
 // of work per second) from its dominant CE on its run node.
 func (c *Cluster) rate(r *Runtime, j *Job) float64 {
-	ce := r.ces[j.Dominant]
+	ce := r.ceOf(j.Dominant)
 	if ce == nil {
 		// Dominant CE unspecified (pure disk/none job): run at nominal
 		// speed on the CPU.
-		ce = r.ces[resource.TypeCPU]
+		ce = r.ceOf(resource.TypeCPU)
 	}
 	if ce.ce.Dedicated {
 		return ce.ce.Clock
@@ -324,11 +340,11 @@ func (c *Cluster) refreshRates(r *Runtime, now sim.Time) {
 // Running jobs lose their progress — a desktop grid restarts preempted
 // work from scratch.
 func (c *Cluster) RemoveNode(id can.NodeID) []*Job {
-	r := c.nodes[id]
+	r := c.Runtime(id)
 	if r == nil {
 		return nil
 	}
-	delete(c.nodes, id)
+	c.nodes[id] = nil
 	var orphans []*Job
 	// release mutates the running set in place, so drain it from the
 	// front rather than ranging over it.

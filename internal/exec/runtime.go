@@ -32,9 +32,9 @@ type Runtime struct {
 	ID   can.NodeID
 	Caps *resource.NodeCaps
 
-	queue []*Job // strictly FIFO: only the head may start
-	ces   map[resource.CEType]*ceState
-	run   []*Job // running jobs, kept sorted by id
+	queue []*Job    // strictly FIFO: only the head may start
+	ces   []ceState // parallel to Caps.CEs, so sorted by CE type
+	run   []*Job    // running jobs, kept sorted by id
 	// queuedJobs / queuedCores are per-CE-type tallies over the FIFO
 	// queue, maintained incrementally on queue transitions so that
 	// Score and DemandOn (called per node per aggregation refresh and
@@ -53,11 +53,21 @@ type Runtime struct {
 }
 
 func newRuntime(id can.NodeID, caps *resource.NodeCaps) *Runtime {
-	r := &Runtime{ID: id, Caps: caps, ces: make(map[resource.CEType]*ceState)}
-	for _, ce := range caps.CEs {
-		r.ces[ce.Type] = &ceState{ce: ce}
+	r := &Runtime{ID: id, Caps: caps, ces: make([]ceState, len(caps.CEs))}
+	for i, ce := range caps.CEs {
+		r.ces[i].ce = ce
 	}
 	return r
+}
+
+// ceOf returns the state of the node's CE of type t, or nil.
+func (r *Runtime) ceOf(t resource.CEType) *ceState {
+	for i := range r.ces {
+		if r.ces[i].ce.Type == t {
+			return &r.ces[i]
+		}
+	}
+	return nil
 }
 
 // QueueLen returns the number of jobs waiting in the FIFO queue.
@@ -75,14 +85,14 @@ func (r *Runtime) running() []*Job { return r.run }
 // noteQueued maintains the per-type queue tallies as jobs enter
 // (sign = +1) and leave (sign = -1) the FIFO queue.
 func (r *Runtime) noteQueued(j *Job, sign int) {
-	for _, t := range j.types() {
-		ti := int(t)
+	for _, q := range j.Req.CE {
+		ti := int(q.Type)
 		for len(r.queuedJobs) <= ti {
 			r.queuedJobs = append(r.queuedJobs, 0)
 			r.queuedCores = append(r.queuedCores, 0)
 		}
 		r.queuedJobs[ti] += sign
-		r.queuedCores[ti] += sign * j.Req.CoresOn(t)
+		r.queuedCores[ti] += sign * q.OccupiedCores()
 	}
 }
 
@@ -96,8 +106,8 @@ func (r *Runtime) BusyCoreSeconds() float64 { return r.busyCoreSeconds }
 // totalCores sums a job's core occupancy across its required CEs.
 func totalCores(j *Job) int {
 	n := 0
-	for _, t := range j.types() {
-		n += j.Req.CoresOn(t)
+	for _, q := range j.Req.CE {
+		n += q.OccupiedCores()
 	}
 	return n
 }
@@ -114,23 +124,26 @@ func (r *Runtime) IsFree() bool {
 // the node statically satisfies the job, its FIFO queue is empty, and
 // every required CE can host the job immediately.
 func (r *Runtime) IsAcceptable(req resource.JobReq) bool {
-	if len(r.queue) > 0 {
-		return false
-	}
-	if !resource.Satisfies(r.Caps, req) {
-		return false
-	}
-	return r.canStart(req)
+	return resource.Satisfies(r.Caps, req) && r.StartsNow(req)
+}
+
+// StartsNow is IsAcceptable for a caller that already knows the node
+// statically satisfies req: the FIFO queue is empty and every required
+// CE can host the job immediately.
+func (r *Runtime) StartsNow(req resource.JobReq) bool {
+	return len(r.queue) == 0 && r.canStart(req)
 }
 
 // canStart checks CE availability only (queue discipline is the
-// caller's concern). It iterates the requirement map directly — the
-// all-must-pass check is order-independent, and req.Types() would
-// allocate on every candidate evaluation.
+// caller's concern), walking the type-sorted requirement list in step
+// with the type-sorted CE states.
 func (r *Runtime) canStart(req resource.JobReq) bool {
-	for t := range req.CE {
-		c := r.ces[t]
-		if c == nil || !c.canHost(req.CoresOn(t)) {
+	ces := r.ces
+	for _, q := range req.CE {
+		for len(ces) > 0 && ces[0].ce.Type < q.Type {
+			ces = ces[1:]
+		}
+		if len(ces) == 0 || ces[0].ce.Type != q.Type || !ces[0].canHost(q.OccupiedCores()) {
 			return false
 		}
 	}
@@ -142,7 +155,7 @@ func (r *Runtime) canStart(req resource.JobReq) bool {
 // Equation 2 for non-dedicated CEs (core utilization over clock). Lower
 // is better. Nodes lacking the CE type score +Inf-like.
 func (r *Runtime) Score(t resource.CEType) float64 {
-	c := r.ces[t]
+	c := r.ceOf(t)
 	if c == nil {
 		return 1e18
 	}
@@ -175,7 +188,7 @@ func (r *Runtime) queuedCoresOn(t resource.CEType) int {
 // SumOfRequiredCores) and the CE's core count. ok is false when the
 // node has no CE of that type.
 func (r *Runtime) DemandOn(t resource.CEType) (requiredCores, cores int, ok bool) {
-	c := r.ces[t]
+	c := r.ceOf(t)
 	if c == nil {
 		return 0, 0, false
 	}
@@ -186,7 +199,7 @@ func (r *Runtime) DemandOn(t resource.CEType) (requiredCores, cores int, ok bool
 // running jobs (queued demand excluded). ok is false when the node has
 // no CE of that type.
 func (r *Runtime) UtilizationOn(t resource.CEType) (util float64, ok bool) {
-	c := r.ces[t]
+	c := r.ceOf(t)
 	if c == nil {
 		return 0, false
 	}
@@ -199,14 +212,26 @@ func (r *Runtime) UtilizationOn(t resource.CEType) (util float64, ok bool) {
 // CE returns the capability record of the node's CE of type t, or nil.
 func (r *Runtime) CE(t resource.CEType) *resource.CE { return r.Caps.CE(t) }
 
+// claim adds sign × the job's occupancy (+1 on start, -1 on release)
+// to the CEs it uses. The job was admitted by Satisfies, so each
+// required type has a state; both lists are type-sorted, so one forward
+// walk finds them.
+func (r *Runtime) claim(j *Job, sign int) {
+	i := 0
+	for _, q := range j.Req.CE {
+		for r.ces[i].ce.Type < q.Type {
+			i++
+		}
+		c := &r.ces[i]
+		c.usedCor += sign * q.OccupiedCores()
+		c.runJobs += sign
+	}
+}
+
 // occupy reserves CEs for a starting job and enters it into the
 // id-sorted running set.
 func (r *Runtime) occupy(j *Job) {
-	for _, t := range j.types() {
-		c := r.ces[t]
-		c.usedCor += j.Req.CoresOn(t)
-		c.runJobs++
-	}
+	r.claim(j, +1)
 	i := sort.Search(len(r.run), func(i int) bool { return r.run[i].ID >= j.ID })
 	r.run = append(r.run, nil)
 	copy(r.run[i+1:], r.run[i:])
@@ -215,11 +240,7 @@ func (r *Runtime) occupy(j *Job) {
 
 // release frees a running job's CEs (on completion or preemption).
 func (r *Runtime) release(j *Job) {
-	for _, t := range j.types() {
-		c := r.ces[t]
-		c.usedCor -= j.Req.CoresOn(t)
-		c.runJobs--
-	}
+	r.claim(j, -1)
 	i := sort.Search(len(r.run), func(i int) bool { return r.run[i].ID >= j.ID })
 	if i < len(r.run) && r.run[i] == j {
 		r.run = append(r.run[:i], r.run[i+1:]...)

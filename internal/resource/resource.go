@@ -13,7 +13,7 @@ package resource
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -127,62 +127,111 @@ type CEReq struct {
 	Cores  int     // cores the job occupies on this CE (≥1 once specified)
 }
 
-// JobReq is a job's full requirement vector.
-type JobReq struct {
-	CE   map[CEType]CEReq // requirements per CE type; absent type = not needed
-	Disk float64          // minimum disk space in GB; 0 = unspecified
-}
-
-// Clone returns a deep copy of r.
-func (r JobReq) Clone() JobReq {
-	c := JobReq{Disk: r.Disk}
-	if r.CE != nil {
-		c.CE = make(map[CEType]CEReq, len(r.CE))
-		for t, q := range r.CE {
-			c.CE[t] = q
-		}
-	}
-	return c
-}
-
-// Types returns the CE types the job requires, sorted ascending.
-func (r JobReq) Types() []CEType {
-	ts := make([]CEType, 0, len(r.CE))
-	for t := range r.CE {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	return ts
-}
-
-// CoresOn returns the number of cores the job occupies on CE type t: the
-// specified requirement, but at least 1 for any required CE (a job that
+// OccupiedCores returns the number of cores a job with this requirement
+// occupies on the CE: the specified count, but at least 1 (a job that
 // names a CE uses at least one of its cores).
-func (r JobReq) CoresOn(t CEType) int {
-	q, ok := r.CE[t]
-	if !ok {
-		return 0
-	}
+func (q CEReq) OccupiedCores() int {
 	if q.Cores < 1 {
 		return 1
 	}
 	return q.Cores
 }
 
+// CENeed is one entry of a job's requirement vector: the requirement on
+// CE type Type.
+type CENeed struct {
+	Type CEType
+	CEReq
+}
+
+// JobReq is a job's full requirement vector.
+//
+// CE lists the required CE types in ascending Type order, each at most
+// once — the order NodeCaps.CEs keeps — so Satisfies and the execution
+// plane walk the two lists in step instead of looking types up. A type
+// absent from CE is not needed; a present one needs at least one core
+// even when its CEReq is zero. Set maintains the order; a literal must
+// keep it.
+type JobReq struct {
+	CE   []CENeed // requirements per CE type, sorted by Type, no duplicates
+	Disk float64  // minimum disk space in GB; 0 = unspecified
+}
+
+// Need returns the requirement on CE type t and whether the job needs
+// that type at all.
+func (r JobReq) Need(t CEType) (CEReq, bool) {
+	for _, q := range r.CE {
+		if q.Type == t {
+			return q.CEReq, true
+		}
+		if q.Type > t {
+			break
+		}
+	}
+	return CEReq{}, false
+}
+
+// Set records the requirement q on CE type t, replacing any earlier one
+// and keeping CE sorted. A zero q still marks t as needed. Set writes
+// r.CE in place: Clone a requirement shared with another job first.
+func (r *JobReq) Set(t CEType, q CEReq) {
+	i := 0
+	for i < len(r.CE) && r.CE[i].Type < t {
+		i++
+	}
+	if i < len(r.CE) && r.CE[i].Type == t {
+		r.CE[i].CEReq = q
+		return
+	}
+	r.CE = append(r.CE, CENeed{})
+	copy(r.CE[i+1:], r.CE[i:])
+	r.CE[i] = CENeed{Type: t, CEReq: q}
+}
+
+// Clone returns a deep copy of r.
+func (r JobReq) Clone() JobReq {
+	return JobReq{CE: slices.Clone(r.CE), Disk: r.Disk}
+}
+
+// Types returns the CE types the job requires, sorted ascending.
+func (r JobReq) Types() []CEType {
+	ts := make([]CEType, len(r.CE))
+	for i, q := range r.CE {
+		ts[i] = q.Type
+	}
+	return ts
+}
+
+// CoresOn returns the number of cores the job occupies on CE type t: 0
+// when the job does not need t, else CEReq.OccupiedCores.
+func (r JobReq) CoresOn(t CEType) int {
+	q, ok := r.Need(t)
+	if !ok {
+		return 0
+	}
+	return q.OccupiedCores()
+}
+
 // Satisfies reports whether node n can ever run a job with requirements
 // r: every required CE type exists on the node with sufficient clock,
 // memory and cores, and the node has sufficient disk. Availability (idle
 // vs busy) is a separate, dynamic question answered by the exec package.
+// Both CE lists are sorted by type (NodeCaps.Validate, JobReq), so one
+// merge walk matches them.
 func Satisfies(n *NodeCaps, r JobReq) bool {
 	if n.Disk < r.Disk {
 		return false
 	}
-	for t, q := range r.CE {
-		ce := n.CE(t)
-		if ce == nil {
+	ces := n.CEs
+	for _, q := range r.CE {
+		for len(ces) > 0 && ces[0].Type < q.Type {
+			ces = ces[1:]
+		}
+		if len(ces) == 0 || ces[0].Type != q.Type {
 			return false
 		}
-		if ce.Clock < q.Clock || ce.Memory < q.Memory || ce.Cores < r.CoresOn(t) {
+		ce := &ces[0]
+		if ce.Clock < q.Clock || ce.Memory < q.Memory || ce.Cores < q.OccupiedCores() {
 			return false
 		}
 	}
@@ -203,11 +252,10 @@ func DominantCE(r JobReq) CEType {
 	}
 	best := CEType(-1)
 	bestScore := -1.0
-	for _, t := range r.Types() {
-		q := r.CE[t]
-		score := q.Memory + float64(r.CoresOn(t))
-		if score > bestScore || (score == bestScore && t > best) {
-			best, bestScore = t, score
+	for _, q := range r.CE {
+		score := q.Memory + float64(q.OccupiedCores())
+		if score > bestScore || (score == bestScore && q.Type > best) {
+			best, bestScore = q.Type, score
 		}
 	}
 	return best

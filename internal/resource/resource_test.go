@@ -1,7 +1,9 @@
 package resource
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -83,19 +85,19 @@ func TestCELookup(t *testing.T) {
 
 func TestSatisfiesCPUOnly(t *testing.T) {
 	n := testNode()
-	ok := JobReq{CE: map[CEType]CEReq{TypeCPU: {Clock: 1.5, Memory: 4, Cores: 2}}}
+	ok := JobReq{CE: []CENeed{{Type: TypeCPU, CEReq: CEReq{Clock: 1.5, Memory: 4, Cores: 2}}}}
 	if !Satisfies(n, ok) {
 		t.Fatal("satisfiable requirement rejected")
 	}
-	tooFast := JobReq{CE: map[CEType]CEReq{TypeCPU: {Clock: 2.5}}}
+	tooFast := JobReq{CE: []CENeed{{Type: TypeCPU, CEReq: CEReq{Clock: 2.5}}}}
 	if Satisfies(n, tooFast) {
 		t.Fatal("clock requirement above capability accepted")
 	}
-	tooManyCores := JobReq{CE: map[CEType]CEReq{TypeCPU: {Cores: 8}}}
+	tooManyCores := JobReq{CE: []CENeed{{Type: TypeCPU, CEReq: CEReq{Cores: 8}}}}
 	if Satisfies(n, tooManyCores) {
 		t.Fatal("core requirement above capability accepted")
 	}
-	tooMuchMem := JobReq{CE: map[CEType]CEReq{TypeCPU: {Memory: 16}}}
+	tooMuchMem := JobReq{CE: []CENeed{{Type: TypeCPU, CEReq: CEReq{Memory: 16}}}}
 	if Satisfies(n, tooMuchMem) {
 		t.Fatal("memory requirement above capability accepted")
 	}
@@ -113,7 +115,7 @@ func TestSatisfiesDisk(t *testing.T) {
 
 func TestSatisfiesMissingGPU(t *testing.T) {
 	n := testNode() // no GPU
-	req := JobReq{CE: map[CEType]CEReq{1: {Clock: 0.5}}}
+	req := JobReq{CE: []CENeed{{Type: 1, CEReq: CEReq{Clock: 0.5}}}}
 	if Satisfies(n, req) {
 		t.Fatal("node without the required CE type accepted")
 	}
@@ -130,14 +132,14 @@ func TestSatisfiesEmptyRequirementMatchesAnything(t *testing.T) {
 }
 
 func TestCoresOnDefaultsToOne(t *testing.T) {
-	r := JobReq{CE: map[CEType]CEReq{TypeCPU: {Clock: 1.0}}}
+	r := JobReq{CE: []CENeed{{Type: TypeCPU, CEReq: CEReq{Clock: 1.0}}}}
 	if r.CoresOn(TypeCPU) != 1 {
 		t.Fatal("a required CE must occupy at least one core")
 	}
 	if r.CoresOn(1) != 0 {
 		t.Fatal("an unrequired CE must occupy zero cores")
 	}
-	r2 := JobReq{CE: map[CEType]CEReq{TypeCPU: {Cores: 3}}}
+	r2 := JobReq{CE: []CENeed{{Type: TypeCPU, CEReq: CEReq{Cores: 3}}}}
 	if r2.CoresOn(TypeCPU) != 3 {
 		t.Fatal("explicit core requirement ignored")
 	}
@@ -147,9 +149,9 @@ func TestDominantCECUDAExample(t *testing.T) {
 	// The paper's CUDA example: the job needs a CPU (1 core, control
 	// thread) and a GPU (many cores, most of the memory demand). The
 	// GPU must dominate.
-	r := JobReq{CE: map[CEType]CEReq{
-		TypeCPU: {Cores: 1, Memory: 1},
-		1:       {Cores: 128, Memory: 2},
+	r := JobReq{CE: []CENeed{
+		{Type: TypeCPU, CEReq: CEReq{Cores: 1, Memory: 1}},
+		{Type: 1, CEReq: CEReq{Cores: 128, Memory: 2}},
 	}}
 	if got := DominantCE(r); got != 1 {
 		t.Fatalf("DominantCE = %v, want gpu1", got)
@@ -157,9 +159,9 @@ func TestDominantCECUDAExample(t *testing.T) {
 }
 
 func TestDominantCECPUHeavyJob(t *testing.T) {
-	r := JobReq{CE: map[CEType]CEReq{
-		TypeCPU: {Cores: 8, Memory: 16},
-		1:       {Cores: 1, Memory: 0.1},
+	r := JobReq{CE: []CENeed{
+		{Type: TypeCPU, CEReq: CEReq{Cores: 8, Memory: 16}},
+		{Type: 1, CEReq: CEReq{Cores: 1, Memory: 0.1}},
 	}}
 	if got := DominantCE(r); got != TypeCPU {
 		t.Fatalf("DominantCE = %v, want cpu", got)
@@ -174,9 +176,9 @@ func TestDominantCEDefaultsToCPU(t *testing.T) {
 
 func TestDominantCETieGoesToAccelerator(t *testing.T) {
 	// Equal absolute demand on both CEs: the accelerator wins.
-	r := JobReq{CE: map[CEType]CEReq{
-		TypeCPU: {Cores: 4, Memory: 2},
-		1:       {Cores: 4, Memory: 2},
+	r := JobReq{CE: []CENeed{
+		{Type: TypeCPU, CEReq: CEReq{Cores: 4, Memory: 2}},
+		{Type: 1, CEReq: CEReq{Cores: 4, Memory: 2}},
 	}}
 	if got := DominantCE(r); got != 1 {
 		t.Fatalf("DominantCE tie = %v, want gpu1", got)
@@ -241,19 +243,184 @@ func TestStopProbability(t *testing.T) {
 }
 
 func TestJobReqClone(t *testing.T) {
-	r := JobReq{CE: map[CEType]CEReq{TypeCPU: {Cores: 2}}, Disk: 10}
+	r := JobReq{CE: []CENeed{{Type: TypeCPU, CEReq: CEReq{Cores: 2}}}, Disk: 10}
 	c := r.Clone()
-	c.CE[TypeCPU] = CEReq{Cores: 9}
-	if r.CE[TypeCPU].Cores != 2 {
-		t.Fatal("Clone shares the CE map")
+	c.Set(TypeCPU, CEReq{Cores: 9})
+	c.Set(1, CEReq{Cores: 1})
+	if r.CE[0].Cores != 2 || len(r.CE) != 1 {
+		t.Fatal("Clone shares the CE slice")
 	}
 }
 
 func TestTypesSorted(t *testing.T) {
-	r := JobReq{CE: map[CEType]CEReq{2: {}, TypeCPU: {}, 1: {}}}
+	var r JobReq
+	r.Set(2, CEReq{})
+	r.Set(TypeCPU, CEReq{})
+	r.Set(1, CEReq{})
 	ts := r.Types()
 	if len(ts) != 3 || ts[0] != 0 || ts[1] != 1 || ts[2] != 2 {
 		t.Fatalf("Types = %v, want [0 1 2]", ts)
+	}
+}
+
+func TestSetKeepsRequirementsSorted(t *testing.T) {
+	var r JobReq
+	r.Set(2, CEReq{Cores: 32})
+	r.Set(TypeCPU, CEReq{Clock: 1.5})
+	r.Set(4, CEReq{})
+	r.Set(1, CEReq{Memory: 2})
+	r.Set(2, CEReq{Cores: 64}) // replaces, does not duplicate
+	want := []CENeed{
+		{Type: TypeCPU, CEReq: CEReq{Clock: 1.5}},
+		{Type: 1, CEReq: CEReq{Memory: 2}},
+		{Type: 2, CEReq: CEReq{Cores: 64}},
+		{Type: 4},
+	}
+	if len(r.CE) != len(want) {
+		t.Fatalf("CE = %v, want %v", r.CE, want)
+	}
+	for i := range want {
+		if r.CE[i] != want[i] {
+			t.Fatalf("CE = %v, want %v", r.CE, want)
+		}
+	}
+	// A zero requirement still names the type: it needs one core.
+	if q, ok := r.Need(4); !ok || q != (CEReq{}) || r.CoresOn(4) != 1 {
+		t.Fatalf("zero requirement on type 4: Need = %v, %v; CoresOn = %d", q, ok, r.CoresOn(4))
+	}
+	if _, ok := r.Need(3); ok {
+		t.Fatal("Need reports an unset type")
+	}
+}
+
+// mapReq is the requirement map JobReq.CE used to be. The ref*
+// functions below are the map-based semantics the sorted slice keeps.
+type mapReq map[CEType]CEReq
+
+func (m mapReq) coresOn(t CEType) int {
+	q, ok := m[t]
+	if !ok {
+		return 0
+	}
+	if q.Cores < 1 {
+		return 1
+	}
+	return q.Cores
+}
+
+func (m mapReq) types() []CEType {
+	ts := make([]CEType, 0, len(m))
+	for t := range m {
+		ts = append(ts, t)
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	return ts
+}
+
+func refSatisfies(n *NodeCaps, m mapReq, disk float64) bool {
+	if n.Disk < disk {
+		return false
+	}
+	for t, q := range m {
+		ce := n.CE(t)
+		if ce == nil || ce.Clock < q.Clock || ce.Memory < q.Memory || ce.Cores < m.coresOn(t) {
+			return false
+		}
+	}
+	return true
+}
+
+func refDominant(m mapReq) CEType {
+	if len(m) == 0 {
+		return TypeCPU
+	}
+	best, bestScore := CEType(-1), -1.0
+	for _, t := range m.types() {
+		score := m[t].Memory + float64(m.coresOn(t))
+		if score > bestScore || (score == bestScore && t > best) {
+			best, bestScore = t, score
+		}
+	}
+	return best
+}
+
+// TestRequirementVectorMatchesMapSemantics builds each requirement both
+// ways — Set calls in the listed order, and the same assignments into a
+// map — and requires every accessor and Satisfies to agree on a node
+// set covering missing, undersized and oversized CEs.
+func TestRequirementVectorMatchesMapSemantics(t *testing.T) {
+	type set struct {
+		t CEType
+		q CEReq
+	}
+	cases := []struct {
+		name string
+		sets []set
+		disk float64
+	}{
+		{"empty", nil, 0},
+		{"disk only", nil, 300},
+		{"cpu", []set{{TypeCPU, CEReq{Clock: 1.5, Memory: 4, Cores: 2}}}, 0},
+		{"zero cpu", []set{{TypeCPU, CEReq{}}}, 0},
+		{"cuda", []set{{1, CEReq{Cores: 128, Memory: 2}}, {TypeCPU, CEReq{Cores: 1, Memory: 1}}}, 50},
+		{"cpu heavy", []set{{TypeCPU, CEReq{Cores: 8, Memory: 16}}, {1, CEReq{Cores: 1, Memory: 0.1}}}, 0},
+		{"tie", []set{{1, CEReq{Cores: 4, Memory: 2}}, {TypeCPU, CEReq{Cores: 4, Memory: 2}}}, 0},
+		{"overwrite", []set{{TypeCPU, CEReq{Cores: 8}}, {2, CEReq{}}, {TypeCPU, CEReq{Cores: 2}}}, 0},
+		{"gpu only", []set{{2, CEReq{Clock: 0.9, Cores: 240}}}, 0},
+		{"two gpus", []set{{3, CEReq{Memory: 1}}, {1, CEReq{Memory: 1}}, {TypeCPU, CEReq{}}}, 0},
+		{"slot past node", []set{{TypeCPU, CEReq{Cores: 1}}, {5, CEReq{Cores: 1}}}, 0},
+	}
+	nodes := []*NodeCaps{
+		testNode(),
+		testNode(gpu(1, 1.2, 240, 4)),
+		testNode(gpu(2, 1.0, 128, 2)),
+		testNode(gpu(1, 0.6, 64, 1), gpu(2, 1.2, 512, 6), gpu(3, 0.9, 240, 4)),
+		testNode(gpu(5, 1.0, 32, 1)),
+		{CEs: []CE{{Type: TypeCPU, Clock: 4, Cores: 16, Memory: 32}}, Disk: 1000},
+	}
+	for _, c := range cases {
+		var r JobReq
+		m := mapReq{}
+		for _, s := range c.sets {
+			r.Set(s.t, s.q)
+			m[s.t] = s.q
+		}
+		r.Disk = c.disk
+		for ty := CEType(-1); ty <= 6; ty++ {
+			q, ok := r.Need(ty)
+			mq, mok := m[ty]
+			if q != mq || ok != mok {
+				t.Errorf("%s: Need(%v) = %v, %v; map says %v, %v", c.name, ty, q, ok, mq, mok)
+			}
+			if got, want := r.CoresOn(ty), m.coresOn(ty); got != want {
+				t.Errorf("%s: CoresOn(%v) = %d, want %d", c.name, ty, got, want)
+			}
+		}
+		if got, want := fmt.Sprint(r.Types()), fmt.Sprint(m.types()); got != want {
+			t.Errorf("%s: Types = %s, want %s", c.name, got, want)
+		}
+		if got, want := DominantCE(r), refDominant(m); got != want {
+			t.Errorf("%s: DominantCE = %v, want %v", c.name, got, want)
+		}
+		for i, n := range nodes {
+			if got, want := Satisfies(n, r), refSatisfies(n, m, c.disk); got != want {
+				t.Errorf("%s: Satisfies(node %d) = %v, want %v", c.name, i, got, want)
+			}
+		}
+	}
+}
+
+func TestSatisfiesDoesNotAllocate(t *testing.T) {
+	n := testNode(gpu(1, 1.2, 240, 4), gpu(2, 1.0, 128, 2))
+	var r JobReq
+	r.Set(TypeCPU, CEReq{Cores: 1})
+	r.Set(2, CEReq{Cores: 64})
+	ok := true
+	if avg := testing.AllocsPerRun(100, func() { ok = Satisfies(n, r) && ok }); avg != 0 {
+		t.Fatalf("Satisfies allocates %v times per call", avg)
+	}
+	if !ok {
+		t.Fatal("satisfiable requirement rejected")
 	}
 }
 

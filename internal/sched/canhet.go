@@ -68,7 +68,7 @@ func (s *CanHet) Place(j *exec.Job) (can.NodeID, error) {
 		acceptable, free := c.acceptBuf[:0], c.freeBuf[:0]
 		for _, n := range cands {
 			rt := c.Cluster.Runtime(n.ID)
-			if rt == nil || !rt.IsAcceptable(j.Req) {
+			if rt == nil || !rt.StartsNow(j.Req) { // cands already satisfy j
 				continue
 			}
 			acceptable = append(acceptable, n)

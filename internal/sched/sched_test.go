@@ -34,7 +34,7 @@ func testGrid(t *testing.T, n int, gpuSlots int, seed int64) (*Context, *can.Ove
 }
 
 func cpuReq(cores int) resource.JobReq {
-	return resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: cores}}}
+	return resource.JobReq{CE: []resource.CENeed{{Type: resource.TypeCPU, CEReq: resource.CEReq{Cores: cores}}}}
 }
 
 func cpuJob(id int, cores int) *exec.Job {
@@ -47,9 +47,9 @@ func cpuJob(id int, cores int) *exec.Job {
 }
 
 func gpuJob(id int, slot resource.CEType) *exec.Job {
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{
-		resource.TypeCPU: {Cores: 1},
-		slot:             {Cores: 32},
+	req := resource.JobReq{CE: []resource.CENeed{
+		{Type: resource.TypeCPU, CEReq: resource.CEReq{Cores: 1}},
+		{Type: slot, CEReq: resource.CEReq{Cores: 32}},
 	}}
 	return &exec.Job{
 		ID:           exec.JobID(id),
@@ -153,7 +153,7 @@ func TestCentralUnmatchable(t *testing.T) {
 	s := NewCentral(ctx)
 	impossible := &exec.Job{
 		ID:       1,
-		Req:      resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 64}}},
+		Req:      resource.JobReq{CE: []resource.CENeed{{Type: resource.TypeCPU, CEReq: resource.CEReq{Cores: 64}}}},
 		Dominant: resource.TypeCPU,
 	}
 	if _, err := s.Place(impossible); err != ErrUnmatchable {
@@ -292,8 +292,8 @@ func TestFallbackCountsAndPlaces(t *testing.T) {
 	ctx, ov, _ := testGrid(t, 40, 1, 7)
 	var st Stats
 	// A requirement only few nodes meet.
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{
-		resource.TypeCPU: {Clock: 3.0, Cores: 8, Memory: 16},
+	req := resource.JobReq{CE: []resource.CENeed{
+		{Type: resource.TypeCPU, CEReq: resource.CEReq{Clock: 3.0, Cores: 8, Memory: 16}},
 	}}
 	n := ctx.fallback(req, resource.TypeCPU, &st)
 	any := false
@@ -394,7 +394,7 @@ func TestCanHomUnmatchable(t *testing.T) {
 	s := NewCanHom(ctx)
 	impossible := &exec.Job{
 		ID:       1,
-		Req:      resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 64}}},
+		Req:      resource.JobReq{CE: []resource.CENeed{{Type: resource.TypeCPU, CEReq: resource.CEReq{Cores: 64}}}},
 		Dominant: resource.TypeCPU,
 	}
 	if _, err := s.Place(impossible); err != ErrUnmatchable {
@@ -427,5 +427,40 @@ func TestEmptyOverlayPlacement(t *testing.T) {
 		if _, err := s.Place(cpuJob(1, 1)); err == nil {
 			t.Fatalf("%s placed a job on an empty overlay", s.Name())
 		}
+	}
+}
+
+// TestCanHetPlaceSteadyStateAllocs pins the placement kernel's
+// zero-allocation contract: with scratch buffers and view caches warm,
+// routing, the satisfying and acceptable scans, the push walk and the
+// score pick allocate nothing.
+func TestCanHetPlaceSteadyStateAllocs(t *testing.T) {
+	ctx, _, cl := testGrid(t, 300, 2, 5)
+	s := NewCanHet(ctx)
+	gen := workload.NewJobGen(ctx.Space, 6)
+	// Load the grid so placements walk past busy nodes.
+	for i := 0; i < 900; i++ {
+		j, _ := gen.Next()
+		if id, err := s.Place(j); err == nil {
+			if err := cl.Submit(j, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	jobs := make([]*exec.Job, 256)
+	for i := range jobs {
+		jobs[i], _ = gen.Next()
+		s.Place(jobs[i])
+	}
+	before := s.Stats
+	i := 0
+	if avg := testing.AllocsPerRun(512, func() {
+		s.Place(jobs[i%len(jobs)])
+		i++
+	}); avg != 0 {
+		t.Fatalf("steady-state Place allocates %v times per call", avg)
+	}
+	if s.Stats.PushHops == before.PushHops || s.Stats.ScorePicks == before.ScorePicks {
+		t.Fatalf("measured placements never pushed or score-picked (stats %v): the walk went unmeasured", s.Stats)
 	}
 }

@@ -199,7 +199,7 @@ func (g *JobGen) keep(v float64) float64 {
 
 // Next generates the next job and the gap until the following arrival.
 func (g *JobGen) Next() (*exec.Job, sim.Duration) {
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{}}
+	req := resource.JobReq{CE: make([]resource.CENeed, 0, 2)} // a CPU and at most one GPU
 
 	gpuJob := g.space.GPUSlots > 0 && g.rnd.Bool(g.GPUJobFraction)
 
@@ -218,17 +218,17 @@ func (g *JobGen) Next() (*exec.Job, sim.Duration) {
 			Cores:  int(g.keep(g.gpuCoreReq.Sample(g.rnd))),
 		}
 		if gq != (resource.CEReq{}) {
-			req.CE[resource.CEType(slot)] = gq
+			req.Set(resource.CEType(slot), gq)
 		}
 	}
 	if cpu != (resource.CEReq{}) {
-		req.CE[resource.TypeCPU] = cpu
+		req.Set(resource.TypeCPU, cpu)
 	}
 	req.Disk = g.keep(g.diskReq.Sample(g.rnd))
 	if len(req.CE) == 0 {
 		// Everything was dropped by the constraint ratio: the job still
 		// needs somewhere to run.
-		req.CE[resource.TypeCPU] = resource.CEReq{Cores: 1}
+		req.Set(resource.TypeCPU, resource.CEReq{Cores: 1})
 	}
 
 	base := sim.Duration(g.rnd.Uniform(float64(g.MinRuntime), float64(g.MaxRuntime)))

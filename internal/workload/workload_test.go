@@ -105,7 +105,7 @@ func TestJobGenValidJobs(t *testing.T) {
 		if j.BaseDuration < g.MinRuntime || j.BaseDuration > g.MaxRuntime {
 			t.Fatalf("duration %v outside [%v, %v]", j.BaseDuration, g.MinRuntime, g.MaxRuntime)
 		}
-		if _, ok := j.Req.CE[j.Dominant]; !ok {
+		if _, ok := j.Req.Need(j.Dominant); !ok {
 			t.Fatalf("dominant CE %v not among requirements %v", j.Dominant, j.Req.Types())
 		}
 	}

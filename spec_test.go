@@ -84,7 +84,7 @@ func TestJobSpecDefaultsGPUSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := req.CE[1]; !ok {
+	if _, ok := req.Need(1); !ok {
 		t.Fatal("GPU requirement without a slot should default to slot 1")
 	}
 }
