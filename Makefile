@@ -1,8 +1,8 @@
 # hetgrid build/verify harness.
 #
 #   make verify   — everything the CI gate runs: build, vet, race tests,
-#                   a short benchmark pass that regenerates BENCH_11.json
-#                   against the BENCH_10.json baseline and fails on >15%
+#                   a short benchmark pass that regenerates BENCH_12.json
+#                   against the BENCH_11.json baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
 #                   and telemetry smoke runs that exercise the
@@ -30,7 +30,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates BENCH_11.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_12.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
 # micro-benchmarks — placement, aggregation refresh and CAN routing —
 # run at 1000 so the overlay caches' one-time build cost amortizes out
@@ -94,7 +94,7 @@ bench:
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_batch1.txt $(BENCHTMP)_batch2.txt \
 		$(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 11 -prev BENCH_10.json -gate 15 -out BENCH_11.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 12 -prev BENCH_11.json -gate 15 -out BENCH_12.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane
@@ -171,8 +171,8 @@ metrics-smoke: build
 # exported streams must be byte-identical — W buys wall-clock only.
 # It also tightens a metric checkpoint past what the run achieves and
 # requires the CLI to exit non-zero, proving checkpoints actually gate,
-# and requires an invalid flag (-arrival 0) to exit non-zero without a
-# panic.
+# and requires invalid flags (-arrival 0, and `run -shards -1`) to exit
+# non-zero without a panic.
 # Reports land in $(ARTIFACTS)/ (uploaded by CI).
 scenario-smoke: build
 	mkdir -p $(ARTIFACTS)
@@ -220,6 +220,11 @@ scenario-smoke: build
 		|| { echo "scenario-smoke: -arrival 0 did not fail"; exit 1; }
 	@! grep -q 'panic:' $(ARTIFACTS)/bad_flag.txt \
 		|| { echo "scenario-smoke: -arrival 0 panicked"; exit 1; }
+	@! $(GO) run ./cmd/hetgridsim run -shards -1 examples/scenarios/rack_failure.yaml \
+		> $(ARTIFACTS)/bad_shards.txt 2>&1 \
+		|| { echo "scenario-smoke: run -shards -1 did not fail"; exit 1; }
+	@! grep -q 'panic:' $(ARTIFACTS)/bad_shards.txt \
+		|| { echo "scenario-smoke: run -shards -1 panicked"; exit 1; }
 	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + batched worker parity, checkpoint gate enforced)"
 
 verify: build vet race bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke

@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"hetgrid/internal/experiments"
@@ -57,7 +58,7 @@ func main() {
 	pprofPath := flag.String("pprof", "", "write a CPU profile to this file")
 	perfStats := flag.Bool("perfstats", false, "enable perf timers and print the counter report to stderr")
 	flag.Parse()
-	if err := checkFlags(*nodes, *jobs, *gpuslots, *arrival, *constraint, *gpufrac); err != nil {
+	if err := checkFlags(*nodes, *jobs, *gpuslots, *seeds, *arrival, *constraint, *gpufrac, *metricsEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "hetgridsim:", err)
 		os.Exit(2)
 	}
@@ -149,8 +150,10 @@ func main() {
 // checkFlags rejects the flag values the load-balance run cannot take,
 // by the rules scenario validation applies to the matching keys
 // (gpu_slots above 3 is allowed here: more slots only add dimensions).
-func checkFlags(nodes, jobs, gpuslots int, arrival, constraint, gpufrac float64) error {
+func checkFlags(nodes, jobs, gpuslots, seeds int, arrival, constraint, gpufrac, metricsEvery float64) error {
 	switch {
+	case seeds < 1:
+		return fmt.Errorf("-seeds %d must be at least 1", seeds)
 	case nodes < 0:
 		return fmt.Errorf("-nodes %d must not be negative", nodes)
 	case jobs < 0:
@@ -163,6 +166,17 @@ func checkFlags(nodes, jobs, gpuslots int, arrival, constraint, gpufrac float64)
 		return fmt.Errorf("-constraint %g must be in [0,1]", constraint)
 	case !(gpufrac >= 0 && gpufrac <= 1):
 		return fmt.Errorf("-gpufrac %g must be in [0,1]", gpufrac)
+	}
+	return checkInterval(metricsEvery)
+}
+
+// checkInterval rejects a telemetry sampling interval that is not a
+// positive number of seconds within the virtual clock's range (one that
+// rounds to zero ticks or overflows would otherwise fall back to the
+// default or sample every tick).
+func checkInterval(metricsEvery float64) error {
+	if !(metricsEvery > 0) || math.IsInf(metricsEvery, 1) || sim.FromSeconds(metricsEvery) <= 0 {
+		return fmt.Errorf("-metrics-interval %g must be a positive, finite number of seconds", metricsEvery)
 	}
 	return nil
 }

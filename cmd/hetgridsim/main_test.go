@@ -8,10 +8,10 @@ import (
 
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
-		nodes, jobs, gpuslots        int
-		arrival, constraint, gpufrac float64
+		nodes, jobs, gpuslots, seeds               int
+		arrival, constraint, gpufrac, metricsEvery float64
 	}
-	def := flags{nodes: 1000, jobs: 20000, gpuslots: 2, arrival: 3, constraint: 0.8, gpufrac: 0.4}
+	def := flags{nodes: 1000, jobs: 20000, gpuslots: 2, seeds: 1, arrival: 3, constraint: 0.8, gpufrac: 0.4, metricsEvery: 60}
 	cases := []struct {
 		name string
 		edit func(*flags)
@@ -31,11 +31,48 @@ func TestCheckFlags(t *testing.T) {
 		{"negative constraint", func(f *flags) { f.constraint = -0.1 }, "-constraint"},
 		{"gpufrac above 1", func(f *flags) { f.gpufrac = 2 }, "-gpufrac"},
 		{"NaN gpufrac", func(f *flags) { f.gpufrac = math.NaN() }, "-gpufrac"},
+		{"many seeds", func(f *flags) { f.seeds = 8 }, ""},
+		{"zero seeds", func(f *flags) { f.seeds = 0 }, "-seeds"},
+		{"negative seeds", func(f *flags) { f.seeds = -2 }, "-seeds"},
+		{"fine interval", func(f *flags) { f.metricsEvery = 0.5 }, ""},
+		{"zero interval", func(f *flags) { f.metricsEvery = 0 }, "-metrics-interval"},
+		{"negative interval", func(f *flags) { f.metricsEvery = -60 }, "-metrics-interval"},
+		{"NaN interval", func(f *flags) { f.metricsEvery = math.NaN() }, "-metrics-interval"},
+		{"infinite interval", func(f *flags) { f.metricsEvery = math.Inf(1) }, "-metrics-interval"},
+		{"overflowing interval", func(f *flags) { f.metricsEvery = 1e300 }, "-metrics-interval"},
+		{"sub-tick interval", func(f *flags) { f.metricsEvery = 1e-12 }, "-metrics-interval"},
 	}
 	for _, tc := range cases {
 		f := def
 		tc.edit(&f)
-		err := checkFlags(f.nodes, f.jobs, f.gpuslots, f.arrival, f.constraint, f.gpufrac)
+		err := checkFlags(f.nodes, f.jobs, f.gpuslots, f.seeds, f.arrival, f.constraint, f.gpufrac, f.metricsEvery)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestCheckRunFlags(t *testing.T) {
+	cases := []struct {
+		name            string
+		shards, workers int
+		metricsEvery    float64
+		want            string // substring of the error; "" = accepted
+	}{
+		{"defaults", 0, 0, 60, ""},
+		{"overrides", 4, 2, 10, ""},
+		{"negative shards", -1, 0, 60, "-shards"},
+		{"negative workers", 0, -3, 60, "-workers"},
+		{"zero interval", 0, 0, 0, "-metrics-interval"},
+		{"negative interval", 0, 0, -1, "-metrics-interval"},
+		{"NaN interval", 0, 0, math.NaN(), "-metrics-interval"},
+		{"infinite interval", 0, 0, math.Inf(1), "-metrics-interval"},
+	}
+	for _, tc := range cases {
+		err := checkRunFlags(tc.shards, tc.workers, tc.metricsEvery)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

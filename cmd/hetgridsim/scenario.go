@@ -50,6 +50,10 @@ func runScenarios(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if err := checkRunFlags(*shards, *workers, *metricsEvery); err != nil {
+		fmt.Fprintln(os.Stderr, "hetgridsim run:", err)
+		return 2
+	}
 	switch *engine {
 	case "", "serial", "sharded":
 	default:
@@ -133,6 +137,18 @@ func runScenarios(args []string) int {
 		fmt.Fprintf(os.Stderr, "hetgridsim run: wrote %d metric points to %s\n", points, *metricsPath)
 	}
 	return status
+}
+
+// checkRunFlags rejects override values no engine can take, by the
+// rules scenario validation applies to the matching keys.
+func checkRunFlags(shards, workers int, metricsEvery float64) error {
+	switch {
+	case shards < 0:
+		return fmt.Errorf("-shards %d must not be negative", shards)
+	case workers < 0:
+		return fmt.Errorf("-workers %d must not be negative", workers)
+	}
+	return checkInterval(metricsEvery)
 }
 
 func validateScenarios(paths []string) int {

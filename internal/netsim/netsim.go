@@ -70,7 +70,9 @@ type Net struct {
 	window     Counters
 	kindTotal  [numKinds]Counters
 	kindWindow [numKinds]Counters
-	perNode    map[can.NodeID]*Counters
+	// perNode is indexed by NodeID (ids are dense). Each facet's table
+	// has a single writer: its own shard's worker, or the control plane.
+	perNode []Counters
 
 	// deliverable reports whether dst can still receive messages;
 	// nil means always deliverable.
@@ -97,11 +99,7 @@ type Net struct {
 // New creates a transport on the given engine with the given one-way
 // latency.
 func New(eng *sim.Engine, latency sim.Duration) *Net {
-	return &Net{
-		eng:     eng,
-		latency: latency,
-		perNode: make(map[can.NodeID]*Counters),
-	}
+	return &Net{eng: eng, latency: latency}
 }
 
 // SetDeliverable installs the liveness check used to drop messages to
@@ -136,13 +134,13 @@ func (n *Net) linkDown(src, dst can.NodeID) bool {
 // Latency returns the one-way delivery latency.
 func (n *Net) Latency() sim.Duration { return n.latency }
 
+// node returns id's counters, growing the table to cover id. A
+// negative id is a driver bug and panics.
 func (n *Net) node(id can.NodeID) *Counters {
-	c := n.perNode[id]
-	if c == nil {
-		c = &Counters{}
-		n.perNode[id] = c
+	if k := int(id) + 1; k > len(n.perNode) {
+		n.perNode = append(n.perNode, make([]Counters, k-len(n.perNode))...)
 	}
-	return c
+	return &n.perNode[id]
 }
 
 func (n *Net) countSend(src can.NodeID, size int, kind Kind) {
@@ -329,8 +327,8 @@ func (n *Net) ResetWindow() {
 // Node returns the cumulative counters for one node (zero counters if it
 // never communicated).
 func (n *Net) Node(id can.NodeID) Counters {
-	if c := n.perNode[id]; c != nil {
-		return *c
+	if int(id) < len(n.perNode) {
+		return n.perNode[id]
 	}
 	return Counters{}
 }

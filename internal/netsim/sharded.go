@@ -7,7 +7,7 @@ import (
 
 // ShardedNet is the transport of a sharded simulation: one Net facet
 // per shard, each bound to that shard's engine, sharing one latency.
-// During parallel windows a facet's counters, per-node map, envelope
+// During parallel windows a facet's counters, per-node table, envelope
 // pool and reply machinery are touched only by its own shard's worker;
 // cross-shard sends travel through the ShardedEngine's mailboxes with
 // exactly one latency of lookahead. Merged totals are sums taken in

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"slices"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/geom"
@@ -82,7 +81,7 @@ func (ss *ShardedSim) joinNodeBatched(p geom.Point, caps *resource.NodeCaps) (*c
 		return nil, err
 	}
 	sh := ss.shardOfPoint(p)
-	ss.nodeShard[node.ID] = sh
+	ss.assignShard(node.ID, sh)
 	s := ss.shards[sh]
 	now := ss.churnNow()
 
@@ -92,7 +91,7 @@ func (ss *ShardedSim) joinNodeBatched(p geom.Point, caps *resource.NodeCaps) (*c
 	// phase is drawn here too, keeping the shared phase stream in strict
 	// join order (the seed-stream contract, DESIGN.md §14).
 	h := newHost(s, node.ID, node.Zone)
-	s.hosts[node.ID] = h
+	s.addHost(h)
 	delay := sim.Duration(s.phase.Float64() * float64(s.Cfg.HeartbeatPeriod))
 	h.scheduleFirstTickAt(now.Add(delay))
 	if owner == nil {
@@ -157,13 +156,7 @@ func (s *Sim) completeJoinBatched(now sim.Time, h *Host, ownerID can.NodeID, own
 	// the view mutates). Pools and scratch are shard-local: a queued
 	// completion runs on its shard's worker, an inline one on the batch
 	// plane with workers parked.
-	ids := s.replyIDs[:0]
-	for id := range oh.view.entries {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	s.replyIDs = ids
-	preRecs := oh.view.recordsOfInto(s.recScratch[:0], ids)
+	preRecs := oh.view.appendRecords(s.recScratch[:0])
 	s.recScratch = preRecs
 
 	oh.adoptZone(ownerZone)
@@ -211,7 +204,7 @@ func (ss *ShardedSim) leaveBatched(id can.NodeID) error {
 	}
 	sh := ss.shardID(id)
 	s := ss.shards[sh]
-	h := s.hosts[id]
+	h := s.localHost(id)
 	if h == nil {
 		return fmt.Errorf("proto: leave of unknown node %d", id)
 	}
@@ -220,7 +213,7 @@ func (ss *ShardedSim) leaveBatched(id can.NodeID) error {
 
 	h.alive = false
 	s.Eng.Cancel(h.tick)
-	delete(s.hosts, id)
+	s.dropHost(id)
 	goneZone := h.zone.Clone()
 
 	if _, err := ss.Ov.Leave(id); err != nil {

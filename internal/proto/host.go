@@ -282,12 +282,18 @@ func (h *Host) receiveFull(now sim.Time, from Record, table []Record, ranked boo
 	// Redundant neighbor information repairs broken links (Figure 2):
 	// any record whose zone abuts ours is a neighbor we may be missing.
 	// Records already in the view with an unchanged zone need no
-	// geometry test — this is the steady-state fast path.
+	// geometry test — this is the steady-state fast path. Full tables
+	// are built from views, so they arrive ascending and one cursor
+	// walks the table against the view; seek falls back to a binary
+	// search for a record that is out of order.
+	v := h.view
+	j := 0
 	for _, rec := range table {
 		if rec.ID == h.id {
 			continue
 		}
-		if e := h.view.entries[rec.ID]; e != nil && e.rec.Zone.Equal(rec.Zone) {
+		j = v.seek(j, rec.ID)
+		if j < len(v.entries) && v.entries[j].rec.ID == rec.ID && v.entries[j].rec.Zone.Equal(rec.Zone) {
 			continue
 		}
 		if _, _, ok := h.zone.Abuts(rec.Zone); ok {
@@ -353,14 +359,12 @@ func (h *Host) receiveRequest(now sim.Time, from Record) {
 func (h *Host) adoptZone(z geom.Zone) {
 	h.zone = z.Clone()
 	h.selfRec = Record{ID: h.id, Zone: h.zone}
-	// A pure filter is order-independent, so iterate the map directly
-	// (deleting during range is defined) instead of materializing a
-	// sorted id list — adoptZone runs on every join and take-over.
-	for id, e := range h.view.entries {
-		if _, _, ok := h.zone.Abuts(e.rec.Zone); !ok {
-			delete(h.view.entries, id)
-		}
-	}
+	// Filter in place; DeleteFunc clears the tail, so the dropped zones
+	// can be collected.
+	h.view.entries = slices.DeleteFunc(h.view.entries, func(e entry) bool {
+		_, _, ok := h.zone.Abuts(e.rec.Zone)
+		return !ok
+	})
 }
 
 // absorb merges foreign records (for example a departed neighbor's

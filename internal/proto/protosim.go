@@ -3,7 +3,6 @@ package proto
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/geom"
@@ -23,8 +22,12 @@ type Sim struct {
 	Ov  *can.Overlay
 	Cfg Config
 
-	hosts map[can.NodeID]*Host
-	phase *rng.Stream
+	// hosts is indexed by NodeID (ids are dense, see can.Overlay), nil
+	// where no live host of this Sim has the id; nhosts counts the live
+	// ones. Written only with workers parked (DESIGN.md §17).
+	hosts  []*Host
+	nhosts int
+	phase  *rng.Stream
 
 	// Recycled heartbeat-plane messages (see the send helpers below).
 	fullPool    []*fullMsg
@@ -36,7 +39,6 @@ type Sim struct {
 	// replyTable below).
 	replyPool []*replyBuf
 	replyHead int
-	replyIDs  []can.NodeID // sorted-id scratch shared across replies
 
 	// Recycled churn-path messages and scratch. The pools mirror the
 	// heartbeat-plane message pools; the scratch slices are consumed
@@ -73,18 +75,42 @@ func NewSimOn(eng *sim.Engine, dims int, cfg Config) *Sim {
 		Net:   netsim.New(eng, cfg.Latency),
 		Ov:    can.NewOverlay(dims),
 		Cfg:   cfg,
-		hosts: make(map[can.NodeID]*Host),
 		phase: rng.NewSplit(cfg.Seed, "proto.phase"),
 	}
 	s.Net.SetDeliverable(func(dst can.NodeID) bool {
-		h := s.hosts[dst]
+		h := s.localHost(dst)
 		return h != nil && h.alive
 	})
 	return s
 }
 
 // Host returns the protocol host for a live node, or nil.
-func (s *Sim) Host(id can.NodeID) *Host { return s.hosts[id] }
+func (s *Sim) Host(id can.NodeID) *Host { return s.localHost(id) }
+
+// localHost returns this Sim's live host for id, or nil. A negative id
+// is a driver bug and panics.
+func (s *Sim) localHost(id can.NodeID) *Host {
+	if int(id) < len(s.hosts) {
+		return s.hosts[id]
+	}
+	return nil
+}
+
+// addHost registers h under its id, growing the dense table as needed.
+// A negative id is a driver bug and panics.
+func (s *Sim) addHost(h *Host) {
+	if n := int(h.id) + 1; n > len(s.hosts) {
+		s.hosts = append(s.hosts, make([]*Host, n-len(s.hosts))...)
+	}
+	s.hosts[h.id] = h
+	s.nhosts++
+}
+
+// dropHost unregisters id's host.
+func (s *Sim) dropHost(id can.NodeID) {
+	s.hosts[id] = nil
+	s.nhosts--
+}
 
 // Overlay returns the ground-truth overlay (the engine-agnostic
 // accessor scenario drivers use; ShardedSim has the same method).
@@ -98,7 +124,7 @@ func (s *Sim) hostOf(id can.NodeID) *Host {
 	if s.parent != nil {
 		return s.parent.hostOf(id)
 	}
-	return s.hosts[id]
+	return s.localHost(id)
 }
 
 // simOf resolves the Sim owning a node's shard (self when serial).
@@ -128,16 +154,29 @@ func (s *Sim) ctl() *sim.Engine {
 func (s *Sim) dims() int { return s.Ov.Dims() }
 
 // AliveHosts returns the number of live protocol hosts.
-func (s *Sim) AliveHosts() int { return len(s.hosts) }
+func (s *Sim) AliveHosts() int { return s.nhosts }
 
 // hostIDs returns live host ids in ascending order.
 func (s *Sim) hostIDs() []can.NodeID {
-	ids := make([]can.NodeID, 0, len(s.hosts))
-	for id := range s.hosts {
-		ids = append(ids, id)
+	ids := make([]can.NodeID, 0, s.nhosts)
+	for id, h := range s.hosts {
+		if h != nil {
+			ids = append(ids, can.NodeID(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// viewEntries returns the believed-neighbor entries summed over this
+// Sim's live hosts.
+func (s *Sim) viewEntries() int {
+	total := 0
+	for _, h := range s.hosts {
+		if h != nil {
+			total += len(h.view.entries)
+		}
+	}
+	return total
 }
 
 // HostIDs returns the live host ids in ascending order — the stable
@@ -174,7 +213,7 @@ func (s *Sim) JoinNode(p geom.Point, caps *resource.NodeCaps) (*can.Node, error)
 func (s *Sim) completeJoin(node *can.Node, owner *can.Node) *can.Node {
 	now := s.Eng.Now()
 	h := newHost(s, node.ID, node.Zone)
-	s.hosts[node.ID] = h
+	s.addHost(h)
 
 	if owner == nil {
 		// First node: owns everything, knows no one.
@@ -186,13 +225,7 @@ func (s *Sim) completeJoin(node *can.Node, owner *can.Node) *can.Node {
 	// Snapshot the owner's pre-split table into scratch (the announce
 	// loop below still needs it after the view mutates; Records are
 	// stored by value everywhere, so the backing array is reusable).
-	ids := s.replyIDs[:0]
-	for id := range oh.view.entries {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	s.replyIDs = ids
-	preRecs := oh.view.recordsOfInto(s.recScratch[:0], ids)
+	preRecs := oh.view.appendRecords(s.recScratch[:0])
 	s.recScratch = preRecs
 
 	// The splitter knows its own new zone and its new neighbor.
@@ -249,7 +282,7 @@ func (s *Sim) completeJoin(node *can.Node, owner *can.Node) *can.Node {
 // LeaveVoluntary removes a node gracefully: it hands its zone and full
 // neighbor table to its predetermined take-over node before departing.
 func (s *Sim) LeaveVoluntary(id can.NodeID) error {
-	h := s.hosts[id]
+	h := s.localHost(id)
 	if h == nil {
 		return fmt.Errorf("proto: leave of unknown node %d", id)
 	}
@@ -262,7 +295,7 @@ func (s *Sim) LeaveVoluntary(id can.NodeID) error {
 
 	h.alive = false
 	s.Eng.Cancel(h.tick)
-	delete(s.hosts, id)
+	s.dropHost(id)
 	goneZone := h.zone.Clone()
 
 	if _, err := s.Ov.Leave(id); err != nil {
@@ -295,14 +328,14 @@ func (s *Sim) LeaveVoluntary(id can.NodeID) error {
 // tables; under Vanilla everyone has one; a missing or stale copy is
 // precisely what produces lasting broken links.
 func (s *Sim) Fail(id can.NodeID) error {
-	h := s.hosts[id]
+	h := s.localHost(id)
 	if h == nil {
 		return fmt.Errorf("proto: fail of unknown node %d", id)
 	}
 	plan, hasPlan := s.Ov.Takeover(id)
 	h.alive = false
 	s.Eng.Cancel(h.tick)
-	delete(s.hosts, id)
+	s.dropHost(id)
 	goneZone := h.zone.Clone()
 
 	if _, err := s.Ov.Leave(id); err != nil {
@@ -422,13 +455,12 @@ func (s *Sim) flushBatched() {
 // announcement fan-out of a take-over. The result is valid until the
 // next call; callers finish iterating before anything else can run one.
 func (s *Sim) unionTargets(v *view, recs []Record) []can.NodeID {
-	ids := s.unionScratch[:0]
-	for id := range v.entries {
-		ids = append(ids, id)
-	}
+	ids := v.appendIDs(s.unionScratch[:0])
 	for _, r := range recs {
 		ids = append(ids, r.ID)
 	}
+	// Two ascending runs (a retained table is ascending like any full
+	// table); the sort also covers one that is not.
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
 	s.unionScratch = ids
@@ -490,13 +522,7 @@ func (s *Sim) replyTable(now sim.Time, v *view) []Record {
 	} else {
 		buf = &replyBuf{}
 	}
-	ids := s.replyIDs[:0]
-	for id := range v.entries {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids) // generic sort: no reflect, no allocation
-	s.replyIDs = ids
-	buf.recs = v.recordsOfInto(buf.recs[:0], ids)
+	buf.recs = v.appendRecords(buf.recs[:0])
 	// Serial retention is exactly one latency (the delivery instant,
 	// with the strict > reuse check covering same-instant ordering).
 	// Sharded retention is two: the delivery may execute on another
@@ -517,14 +543,10 @@ func (s *Sim) replyTable(now sim.Time, v *view) []Record {
 // hosts (0 with no hosts). Order-independent, so it is safe as a
 // telemetry gauge.
 func (s *Sim) MeanViewSize() float64 {
-	if len(s.hosts) == 0 {
+	if s.nhosts == 0 {
 		return 0
 	}
-	total := 0
-	for _, h := range s.hosts {
-		total += len(h.view.entries)
-	}
-	return float64(total) / float64(len(s.hosts))
+	return float64(s.viewEntries()) / float64(s.nhosts)
 }
 
 type fullMsg struct {
@@ -539,7 +561,7 @@ func (m *fullMsg) Deliver(now sim.Time) {
 	s, dst, self, table, ranked := m.s, m.dst, m.self, m.table, m.ranked
 	m.table = nil
 	s.fullPool = append(s.fullPool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.localHost(dst); h != nil {
 		h.receiveFull(now, self, table, ranked)
 	}
 }
@@ -571,7 +593,7 @@ type compactMsg struct {
 func (m *compactMsg) Deliver(now sim.Time) {
 	s, dst, self, ranked := m.s, m.dst, m.self, m.ranked
 	s.compactPool = append(s.compactPool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.localHost(dst); h != nil {
 		h.receiveCompact(now, self, ranked)
 	}
 }
@@ -599,7 +621,7 @@ type requestMsg struct {
 func (m *requestMsg) Deliver(now sim.Time) {
 	s, dst, self := m.s, m.dst, m.self
 	s.requestPool = append(s.requestPool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.localHost(dst); h != nil {
 		h.receiveRequest(now, self)
 	}
 }
@@ -653,7 +675,7 @@ type announceMsg struct {
 func (m *announceMsg) Deliver(now sim.Time) {
 	s, dst, gone, owner := m.s, m.dst, m.gone, m.owner
 	s.announcePool = append(s.announcePool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.localHost(dst); h != nil {
 		h.receiveAnnounce(now, gone, owner)
 	}
 }
@@ -691,7 +713,7 @@ type introMsg struct {
 func (m *introMsg) Deliver(now sim.Time) {
 	s, dst, splitter, newbie := m.s, m.dst, m.splitter, m.newbie
 	s.introPool = append(s.introPool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.localHost(dst); h != nil {
 		h.receiveAnnounce(now, -1, splitter)
 		h.receiveAnnounce(now, -1, newbie)
 	}

@@ -11,7 +11,7 @@ import (
 func testView(ids ...can.NodeID) *view {
 	v := newView()
 	for _, id := range ids {
-		v.entries[id] = &entry{rec: Record{ID: id}}
+		v.direct(Record{ID: id}, 0)
 	}
 	return v
 }
@@ -42,7 +42,7 @@ func TestReplyTableRetention(t *testing.T) {
 }
 
 // TestReplyTableOrder: pooled replies must preserve the ascending-id
-// order view.records() produces, regardless of map iteration order.
+// order view.records() produces, whatever order the entries arrived in.
 func TestReplyTableOrder(t *testing.T) {
 	s := NewSim(2, DefaultConfig(Adaptive))
 	v := testView(9, 4, 7, 1)

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"runtime"
-	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/geom"
@@ -43,8 +42,10 @@ type ShardedSim struct {
 	Ov  *can.Overlay
 	Cfg Config
 
-	shards    []*Sim
-	nodeShard map[can.NodeID]int // assigned at join, retained past departure
+	shards []*Sim
+	// nodeShard is indexed by NodeID: assigned at join, retained past
+	// departure. Written only with workers parked (DESIGN.md §17).
+	nodeShard []int32
 
 	// Batched-admission state (Config.BatchedAdmission; see batched.go).
 	// pendGroups holds deferred per-shard join/leave completions in batch
@@ -70,12 +71,11 @@ func NewShardedSim(shards, workers, dims int, cfg Config) *ShardedSim {
 	se.SetWorkers(workers)
 	snet := netsim.NewSharded(se, cfg.Latency)
 	ss := &ShardedSim{
-		SE:        se,
-		Net:       snet,
-		Ov:        can.NewOverlay(dims),
-		Cfg:       cfg,
-		shards:    make([]*Sim, shards),
-		nodeShard: make(map[can.NodeID]int),
+		SE:     se,
+		Net:    snet,
+		Ov:     can.NewOverlay(dims),
+		Cfg:    cfg,
+		shards: make([]*Sim, shards),
 	}
 	// One phase stream shared by every shard, with the serial Sim's
 	// split label. It is drawn from only inside completeJoin — a
@@ -90,7 +90,6 @@ func NewShardedSim(shards, workers, dims int, cfg Config) *ShardedSim {
 			Net:    snet.Facet(i),
 			Ov:     ss.Ov,
 			Cfg:    cfg,
-			hosts:  make(map[can.NodeID]*Host),
 			phase:  phase,
 			parent: ss,
 			shard:  i,
@@ -142,15 +141,24 @@ func (ss *ShardedSim) shardOfPoint(p geom.Point) int {
 // the facet's liveness check then drops the message, mirroring the
 // serial unknown-destination path).
 func (ss *ShardedSim) shardID(id can.NodeID) int {
-	if sh, ok := ss.nodeShard[id]; ok {
-		return sh
+	if int(id) < len(ss.nodeShard) {
+		return int(ss.nodeShard[id])
 	}
 	return 0
 }
 
+// assignShard records node id's shard (control or batch plane). A
+// negative id is a driver bug and panics.
+func (ss *ShardedSim) assignShard(id can.NodeID, sh int) {
+	if n := int(id) + 1; n > len(ss.nodeShard) {
+		ss.nodeShard = append(ss.nodeShard, make([]int32, n-len(ss.nodeShard))...)
+	}
+	ss.nodeShard[id] = int32(sh)
+}
+
 // hostOf returns the live host for id, or nil.
 func (ss *ShardedSim) hostOf(id can.NodeID) *Host {
-	return ss.shards[ss.shardID(id)].hosts[id]
+	return ss.shards[ss.shardID(id)].localHost(id)
 }
 
 // simOf returns the Sim owning id's shard.
@@ -183,7 +191,7 @@ func (ss *ShardedSim) flushPendingIfBatched() {
 func (ss *ShardedSim) AliveHosts() int {
 	n := 0
 	for _, s := range ss.shards {
-		n += len(s.hosts)
+		n += s.nhosts
 	}
 	return n
 }
@@ -191,12 +199,11 @@ func (ss *ShardedSim) AliveHosts() int {
 // HostIDs returns all live host ids in ascending order.
 func (ss *ShardedSim) HostIDs() []can.NodeID {
 	ids := make([]can.NodeID, 0, ss.AliveHosts())
-	for _, s := range ss.shards {
-		for id := range s.hosts {
-			ids = append(ids, id)
+	for id, sh := range ss.nodeShard {
+		if ss.shards[sh].localHost(can.NodeID(id)) != nil {
+			ids = append(ids, can.NodeID(id))
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -206,10 +213,8 @@ func (ss *ShardedSim) MeanViewSize() float64 {
 	ss.flushPendingIfBatched()
 	total, hosts := 0, 0
 	for _, s := range ss.shards {
-		hosts += len(s.hosts)
-		for _, h := range s.hosts {
-			total += len(h.view.entries)
-		}
+		hosts += s.nhosts
+		total += s.viewEntries()
 	}
 	if hosts == 0 {
 		return 0
@@ -219,7 +224,7 @@ func (ss *ShardedSim) MeanViewSize() float64 {
 
 // ShardAliveHosts returns shard i's live host count. Control-plane (or
 // quiesced-engine) use only — the telemetry facet reader.
-func (ss *ShardedSim) ShardAliveHosts(i int) int { return len(ss.shards[i].hosts) }
+func (ss *ShardedSim) ShardAliveHosts(i int) int { return ss.shards[i].nhosts }
 
 // ShardViewStats returns shard i's total believed-neighbor entries and
 // its live host count, the per-facet numerator and denominator of the
@@ -228,10 +233,7 @@ func (ss *ShardedSim) ShardAliveHosts(i int) int { return len(ss.shards[i].hosts
 func (ss *ShardedSim) ShardViewStats(i int) (entries, hosts int) {
 	ss.flushPendingIfBatched()
 	s := ss.shards[i]
-	for _, h := range s.hosts {
-		entries += len(h.view.entries)
-	}
-	return entries, len(s.hosts)
+	return s.viewEntries(), s.nhosts
 }
 
 // Join admits a capability-less node at point p (control plane).
@@ -253,7 +255,7 @@ func (ss *ShardedSim) JoinNode(p geom.Point, caps *resource.NodeCaps) (*can.Node
 		return nil, err
 	}
 	sh := ss.shardOfPoint(p)
-	ss.nodeShard[node.ID] = sh
+	ss.assignShard(node.ID, sh)
 	return ss.shards[sh].completeJoin(node, owner), nil
 }
 
@@ -295,7 +297,7 @@ func (ss *ShardedSim) BrokenLinks() (missing, stale int) {
 			if ss.shardID(n.ID) != sh {
 				continue
 			}
-			h := s.hosts[n.ID]
+			h := s.localHost(n.ID)
 			nbrs := ss.Ov.BoundedNeighborIDs(n.ID, perFace)
 			if h == nil {
 				miss += len(nbrs)

@@ -148,7 +148,7 @@ func TestShardedSimCrossShardTraffic(t *testing.T) {
 	ss.RunUntil(20 * sim.Time(sim.Second))
 	populated := 0
 	for i := 0; i < ss.Shards(); i++ {
-		if len(ss.Shard(i).hosts) > 0 {
+		if ss.Shard(i).nhosts > 0 {
 			populated++
 		}
 	}

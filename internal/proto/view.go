@@ -2,7 +2,6 @@ package proto
 
 import (
 	"slices"
-	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/geom"
@@ -42,21 +41,36 @@ type entry struct {
 // view is a node's local neighbor table plus the tombstones that stop
 // stale third-party records from resurrecting known-dead nodes.
 //
+// Both are value slices kept in ascending id order (DESIGN.md §17): a
+// view holds O(d) entries, so a binary search plus an occasional
+// insertion shift beats hashing, every ordered query is a plain walk,
+// and the entries cost no per-neighbor allocation.
+//
 // The *Buf fields are per-view scratch reused by the once-per-round
 // computations (expire, ranked, reciprocals): each heartbeat tick runs
 // them once and consumes the results within the tick, so recycling the
 // backing arrays makes the steady-state round allocation-free. The
 // slices they return are valid only until the same method runs again.
 type view struct {
-	entries    map[can.NodeID]*entry
-	tombstones map[can.NodeID]sim.Time // expiry time
+	entries    []entry     // ascending rec.ID
+	tombstones []tombstone // ascending id
 
 	goneBuf   []can.NodeID
-	staleBuf  []can.NodeID
 	rankedBuf []can.NodeID
 	recipBuf  []can.NodeID
 	scoredBuf []faceScored
 }
+
+// tombstone bars third-party records of a buried node until its expiry.
+type tombstone struct {
+	id    can.NodeID
+	until sim.Time
+}
+
+// initialViewCap sizes the first allocation of a view's entries and of
+// its tombstones, so the handful of records a node learns at join (or
+// buries in its first expiry) does not pay one growth step each.
+const initialViewCap = 8
 
 // faceScored is one (face, candidate) pair during bounded ranking.
 type faceScored struct {
@@ -65,27 +79,83 @@ type faceScored struct {
 	overlap  float64
 }
 
-func newView() *view {
-	return &view{
-		entries:    make(map[can.NodeID]*entry),
-		tombstones: make(map[can.NodeID]sim.Time),
+func newView() *view { return &view{} }
+
+// search returns the index of the first entry whose id is ≥ id.
+func (v *view) search(id can.NodeID) int {
+	lo, hi := 0, len(v.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.entries[m].rec.ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo
 }
 
-// ids returns the believed-neighbor ids in ascending order, for
-// deterministic iteration.
-func (v *view) ids() []can.NodeID {
-	out := make([]can.NodeID, 0, len(v.entries))
-	for id := range v.entries {
-		out = append(out, id)
+// seek is search for merge walks: it scans forward from hint, the
+// position found for an earlier, smaller id, and falls back to a binary
+// search when the hint already overshoots id (an out-of-order caller).
+func (v *view) seek(hint int, id can.NodeID) int {
+	if hint > len(v.entries) || hint > 0 && v.entries[hint-1].rec.ID >= id {
+		return v.search(id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	for hint < len(v.entries) && v.entries[hint].rec.ID < id {
+		hint++
+	}
+	return hint
+}
+
+// find returns id's entry index and whether it is present; when absent
+// the index is where the entry would be inserted.
+func (v *view) find(id can.NodeID) (int, bool) {
+	i := v.search(id)
+	return i, i < len(v.entries) && v.entries[i].rec.ID == id
+}
+
+// get returns id's entry, or nil. The pointer is valid until the next
+// insertion into or deletion from the view.
+func (v *view) get(id can.NodeID) *entry {
+	if i, ok := v.find(id); ok {
+		return &v.entries[i]
+	}
+	return nil
+}
+
+// insert places e at index i (as returned by find).
+func (v *view) insert(i int, e entry) {
+	if v.entries == nil {
+		v.entries = make([]entry, 0, initialViewCap)
+	}
+	v.entries = slices.Insert(v.entries, i, e)
+}
+
+// ids returns the believed-neighbor ids in ascending order.
+func (v *view) ids() []can.NodeID {
+	return v.appendIDs(make([]can.NodeID, 0, len(v.entries)))
+}
+
+// appendIDs appends every believed-neighbor id, ascending, to dst.
+func (v *view) appendIDs(dst []can.NodeID) []can.NodeID {
+	for i := range v.entries {
+		dst = append(dst, v.entries[i].rec.ID)
+	}
+	return dst
 }
 
 // records returns the view contents sorted by id.
 func (v *view) records() []Record {
-	return v.recordsOf(v.ids())
+	return v.appendRecords(make([]Record, 0, len(v.entries)))
+}
+
+// appendRecords appends every record, ascending by id, to dst.
+func (v *view) appendRecords(dst []Record) []Record {
+	for i := range v.entries {
+		dst = append(dst, v.entries[i].rec)
+	}
+	return dst
 }
 
 // recordsOf returns the records for the given ids (skipping any that
@@ -94,55 +164,102 @@ func (v *view) recordsOf(ids []can.NodeID) []Record {
 	return v.recordsOfInto(make([]Record, 0, len(ids)), ids)
 }
 
-// recordsOfInto is recordsOf appending into a caller-owned buffer.
+// recordsOfInto is recordsOf appending into a caller-owned buffer. The
+// ids are expected ascending, which makes the lookup one merge walk.
 func (v *view) recordsOfInto(recs []Record, ids []can.NodeID) []Record {
+	j := 0
 	for _, id := range ids {
-		if e := v.entries[id]; e != nil {
-			recs = append(recs, e.rec)
+		j = v.seek(j, id)
+		if j < len(v.entries) && v.entries[j].rec.ID == id {
+			recs = append(recs, v.entries[j].rec)
 		}
 	}
 	return recs
 }
 
-func (v *view) has(id can.NodeID) bool { return v.entries[id] != nil }
+func (v *view) has(id can.NodeID) bool {
+	_, ok := v.find(id)
+	return ok
+}
 
 func (v *view) zoneOf(id can.NodeID) (geom.Zone, bool) {
-	if e := v.entries[id]; e != nil {
+	if e := v.get(id); e != nil {
 		return e.rec.Zone, true
 	}
 	return geom.Zone{}, false
 }
 
+// searchTomb returns the index of the first tombstone whose id is ≥ id
+// and whether that tombstone is id's.
+func (v *view) searchTomb(id can.NodeID) (int, bool) {
+	lo, hi := 0, len(v.tombstones)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.tombstones[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(v.tombstones) && v.tombstones[lo].id == id
+}
+
+// unbury drops id's tombstone, if any.
+func (v *view) unbury(id can.NodeID) {
+	if i, ok := v.searchTomb(id); ok {
+		v.tombstones = slices.Delete(v.tombstones, i, i+1)
+	}
+}
+
 func (v *view) tombstoned(id can.NodeID, now sim.Time) bool {
-	exp, ok := v.tombstones[id]
+	i, ok := v.searchTomb(id)
 	if !ok {
 		return false
 	}
-	if now >= exp {
-		delete(v.tombstones, id)
+	if now >= v.tombstones[i].until {
+		v.tombstones = slices.Delete(v.tombstones, i, i+1)
 		return false
 	}
 	return true
 }
 
 func (v *view) bury(id can.NodeID, until sim.Time) {
-	delete(v.entries, id)
-	v.tombstones[id] = until
+	v.remove(id)
+	v.setTomb(id, until)
 }
 
-func (v *view) remove(id can.NodeID) { delete(v.entries, id) }
+// setTomb sets id's tombstone expiry, inserting it if absent.
+func (v *view) setTomb(id can.NodeID, until sim.Time) {
+	i, ok := v.searchTomb(id)
+	if ok {
+		v.tombstones[i].until = until
+		return
+	}
+	if v.tombstones == nil {
+		v.tombstones = make([]tombstone, 0, initialViewCap)
+	}
+	v.tombstones = slices.Insert(v.tombstones, i, tombstone{id, until})
+}
+
+func (v *view) remove(id can.NodeID) {
+	if i, ok := v.find(id); ok {
+		v.entries = slices.Delete(v.entries, i, i+1)
+	}
+}
 
 // direct records first-hand evidence (a message from the node itself):
 // it refreshes lastHeard, lastDirect and the zone.
 func (v *view) direct(rec Record, now sim.Time) {
-	delete(v.tombstones, rec.ID)
-	if e := v.entries[rec.ID]; e != nil {
+	v.unbury(rec.ID)
+	i, ok := v.find(rec.ID)
+	if ok {
+		e := &v.entries[i]
 		e.rec = rec
 		e.lastHeard = now
 		e.lastDirect = now
 		return
 	}
-	v.entries[rec.ID] = &entry{rec: rec, lastHeard: now, lastDirect: now}
+	v.insert(i, entry{rec: rec, lastHeard: now, lastDirect: now})
 }
 
 // indirect records third-party evidence (a record inside somebody
@@ -155,11 +272,12 @@ func (v *view) indirect(rec Record, now, graceTime sim.Time) {
 	if v.tombstoned(rec.ID, now) {
 		return
 	}
-	if e := v.entries[rec.ID]; e != nil {
-		e.rec.Zone = rec.Zone
+	i, ok := v.find(rec.ID)
+	if ok {
+		v.entries[i].rec.Zone = rec.Zone
 		return
 	}
-	v.entries[rec.ID] = &entry{rec: rec, lastHeard: graceTime}
+	v.insert(i, entry{rec: rec, lastHeard: graceTime})
 }
 
 // expire removes active entries (ranked by us at the previous round, or
@@ -182,37 +300,37 @@ func (v *view) indirect(rec Record, now, graceTime sim.Time) {
 // and expires on the first tick where it is strictly older — the
 // deadline-exact record and the grace-exact record behave identically.
 func (v *view) expire(deadline, passiveDeadline, buryUntil sim.Time) []can.NodeID {
-	gone, stale := v.goneBuf[:0], v.staleBuf[:0]
-	for id, e := range v.entries {
+	gone := v.goneBuf[:0]
+	kept := v.entries[:0]
+	for _, e := range v.entries {
 		active := e.rankedByUs || e.lastRankedBy >= deadline
 		switch {
 		case active && e.lastHeard < deadline:
-			gone = append(gone, id)
+			gone = append(gone, e.rec.ID)
 		case !active && e.lastHeard < passiveDeadline:
-			stale = append(stale, id)
+		default:
+			kept = append(kept, e)
 		}
 	}
-	slices.Sort(gone)
+	clear(v.entries[len(kept):])
+	v.entries = kept
 	for _, id := range gone {
-		v.bury(id, buryUntil)
+		v.setTomb(id, buryUntil)
 	}
-	for _, id := range stale {
-		delete(v.entries, id)
-	}
-	v.goneBuf, v.staleBuf = gone, stale
+	v.goneBuf = gone
 	return gone
 }
 
 // markRanked records which entries we ranked this round (the liveness
-// expectation used by the next round's expiry).
+// expectation used by the next round's expiry). ids must be ascending.
 func (v *view) markRanked(ids []can.NodeID) {
-	for _, e := range v.entries {
-		e.rankedByUs = false
-	}
-	for _, id := range ids {
-		if e := v.entries[id]; e != nil {
-			e.rankedByUs = true
+	k := 0
+	for i := range v.entries {
+		e := &v.entries[i]
+		for k < len(ids) && ids[k] < e.rec.ID {
+			k++
 		}
+		e.rankedByUs = k < len(ids) && ids[k] == e.rec.ID
 	}
 }
 
@@ -222,7 +340,8 @@ func (v *view) markRanked(ids []can.NodeID) {
 // (Section IV-C). Coverage is tested by comparing the face area against
 // the summed overlap areas of abutting view zones; current (disjoint)
 // zones make this exact, while overlapping stale records can mask a hole
-// until they expire.
+// until they expire. The overlaps are summed in id order, so the float
+// sum is deterministic; the 1e-9 slack absorbs rounding either way.
 func (v *view) uncoveredFace(selfZone geom.Zone) bool {
 	d := selfZone.Dims()
 	for dim := 0; dim < d; dim++ {
@@ -236,10 +355,11 @@ func (v *view) uncoveredFace(selfZone geom.Zone) bool {
 			}
 			need := selfZone.FaceArea(dim)
 			got := 0.0
-			for _, e := range v.entries {
-				adim, adir, ok := selfZone.Abuts(e.rec.Zone)
+			for i := range v.entries {
+				z := v.entries[i].rec.Zone
+				adim, adir, ok := selfZone.Abuts(z)
 				if ok && adim == dim && adir == side {
-					got += selfZone.FaceOverlap(e.rec.Zone, dim)
+					got += selfZone.FaceOverlap(z, dim)
 				}
 			}
 			if got < need*(1-1e-9) {
@@ -256,7 +376,8 @@ func (v *view) uncoveredFace(selfZone geom.Zone) bool {
 // returns every entry. The result is sorted by id.
 func (v *view) ranked(selfZone geom.Zone, perFace int) []can.NodeID {
 	if perFace <= 0 {
-		return v.ids()
+		v.rankedBuf = v.appendIDs(v.rankedBuf[:0])
+		return v.rankedBuf
 	}
 	// Scratch-based equivalent of per-face bucketing: score every
 	// abutting entry, sort by (face, overlap desc, id asc), then take the
@@ -264,12 +385,13 @@ func (v *view) ranked(selfZone geom.Zone, perFace int) []can.NodeID {
 	// so no entry can be selected twice and the result needs only the
 	// final id sort.
 	scored := v.scoredBuf[:0]
-	for id, e := range v.entries {
-		dim, dir, ok := selfZone.Abuts(e.rec.Zone)
+	for i := range v.entries {
+		rec := &v.entries[i].rec
+		dim, dir, ok := selfZone.Abuts(rec.Zone)
 		if !ok {
 			continue
 		}
-		scored = append(scored, faceScored{dim, dir, id, selfZone.FaceOverlap(e.rec.Zone, dim)})
+		scored = append(scored, faceScored{dim, dir, rec.ID, selfZone.FaceOverlap(rec.Zone, dim)})
 	}
 	v.scoredBuf = scored
 	slices.SortFunc(scored, func(a, b faceScored) int {
@@ -309,19 +431,18 @@ func (v *view) ranked(selfZone geom.Zone, perFace int) []can.NodeID {
 // directions, without unranked pairs sustaining each other forever.
 func (v *view) reciprocals(since sim.Time) []can.NodeID {
 	out := v.recipBuf[:0]
-	for id, e := range v.entries {
-		if e.lastRankedBy >= since {
-			out = append(out, id)
+	for i := range v.entries {
+		if v.entries[i].lastRankedBy >= since {
+			out = append(out, v.entries[i].rec.ID)
 		}
 	}
-	slices.Sort(out)
 	v.recipBuf = out
 	return out
 }
 
 // rankedBy records that the node itself declared it ranks us.
 func (v *view) rankedBy(id can.NodeID, now sim.Time) {
-	if e := v.entries[id]; e != nil {
+	if e := v.get(id); e != nil {
 		e.lastRankedBy = now
 	}
 }
@@ -335,8 +456,8 @@ func (v *view) emptyFace(selfZone geom.Zone) bool {
 	// never has anywhere near 64 dimensions). This runs on every adaptive
 	// heartbeat tick, so it must not allocate.
 	var covLo, covHi uint64
-	for _, e := range v.entries {
-		if dim, dir, ok := selfZone.Abuts(e.rec.Zone); ok {
+	for i := range v.entries {
+		if dim, dir, ok := selfZone.Abuts(v.entries[i].rec.Zone); ok {
 			if dir < 0 {
 				covLo |= 1 << dim
 			} else {
