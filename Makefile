@@ -8,7 +8,7 @@
 #                   and telemetry smoke runs that exercise the
 #                   metrics/trace exports — including the sharded
 #                   telemetry plane, the scenario metric checkpoints and
-#                   the batched-admission worker-count byte comparison.
+#                   the sharded worker-count byte comparison.
 
 GO ?= go
 BENCHTMP ?= /tmp/hetgrid_bench
@@ -60,11 +60,10 @@ race:
 # the same parallelism (see cmd/benchjson). The sharded telemetry
 # overhead pair (metrics=off / metrics=on over the identical heartbeat
 # workload) also runs as two processes; its gated entries keep the
-# plane's barrier-merge cost from creeping. The batched-admission churn
-# pair (ChurnStormSharded W=1 / W=max) runs the same way: it prices
-# churn prep, barrier flushes and parallel completions, and gating it
-# keeps the serial ChurnStorm entry honest — batching must not creep
-# back into the serial path.
+# plane's barrier-merge cost from creeping. The sharded churn pair
+# (ChurnStormSharded W=1 / W=max) runs the same way: it prices
+# heartbeats under churn whose every join, leave and failure quiesces
+# the shards on the control plane.
 bench:
 	$(GO) test -run '^$$' -bench 'Placement|PlaceSteadyState|AggRefresh$$|CANRoute' \
 		-benchmem -benchtime 1000x -count 10 . | tee $(BENCHTMP)_hot.txt
@@ -81,9 +80,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'ShardedHeartbeatMetricsOverhead' \
 		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_tele2.txt
 	$(GO) test -run '^$$' -bench 'ChurnStormSharded$$' \
-		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_batch1.txt
+		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_churnsh1.txt
 	$(GO) test -run '^$$' -bench 'ChurnStormSharded$$' \
-		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_batch2.txt
+		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_churnsh2.txt
 	$(GO) test -run '^$$' -bench 'Fig5InterArrival|Fig8Messages|HeartbeatRound|ChurnRound|WorkloadGen' \
 		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_figs1.txt
 	$(GO) test -run '^$$' -bench 'Fig5InterArrival|Fig8Messages|HeartbeatRound|ChurnRound|WorkloadGen' \
@@ -92,7 +91,7 @@ bench:
 		$(BENCHTMP)_agg1.txt $(BENCHTMP)_agg2.txt \
 		$(BENCHTMP)_shard1.txt $(BENCHTMP)_shard2.txt \
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
-		$(BENCHTMP)_batch1.txt $(BENCHTMP)_batch2.txt \
+		$(BENCHTMP)_churnsh1.txt $(BENCHTMP)_churnsh2.txt \
 		$(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
 	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 12 -prev BENCH_11.json -gate 15 -out BENCH_12.json
 
@@ -110,8 +109,8 @@ bench-xl:
 # 100k-population churn-storm comparison (journal splice vs full
 # rebuild), and two sharded-core speedup pairs over identical 100k-node
 # workloads at one worker and at GOMAXPROCS — pure heartbeats
-# (ShardedHeartbeat100k) and heartbeats under sustained batched-
-# admission churn (ChurnStormSharded100k); each pair's W=1/W=max ns/op
+# (ShardedHeartbeat100k) and heartbeats under sustained churn
+# (ChurnStormSharded100k); each pair's W=1/W=max ns/op
 # ratio in the log is the engine's parallel speedup on this runner.
 # Ungated like bench-xl — single iterations are too noisy to gate, and
 # the 10k ChurnStorm entry in the BENCH_*.json gate already pins the
@@ -164,11 +163,12 @@ metrics-smoke: build
 # the determinism contract the engine promises. The sharded engine gets
 # the same treatment cross-engine: the churn-storm scenario runs under
 # -engine serial, -shards 1 and -shards 4 and all three reports must be
-# byte-identical (the engine key buys wall-clock only, never accuracy).
-# Batched admission gets a worker-count differential: the churn-storm
-# scenario runs under -admission batched -shards 4 at -workers 1 and
-# -workers 2 with telemetry export, and both the reports and the
-# exported streams must be byte-identical — W buys wall-clock only.
+# byte-identical (for the corpus the engine key buys wall-clock only;
+# DESIGN.md §14 records the adaptive-churn spec where it does not).
+# The sharded core also gets a worker-count differential: the
+# churn-storm scenario runs under -shards 4 at -workers 1 and -workers 2
+# with telemetry export, and both the reports and the exported streams
+# must be byte-identical — W buys wall-clock only.
 # It also tightens a metric checkpoint past what the run achieves and
 # requires the CLI to exit non-zero, proving checkpoints actually gate,
 # and requires invalid flags (-arrival 0, and `run -shards -1`) to exit
@@ -199,16 +199,16 @@ scenario-smoke: build
 		|| { echo "scenario-smoke: sharded report not byte-identical to serial"; exit 1; }
 	@cmp $(ARTIFACTS)/churn_storm_s1.txt $(ARTIFACTS)/churn_storm_s4.txt \
 		|| { echo "scenario-smoke: S=1 and S=4 reports differ"; exit 1; }
-	$(GO) run ./cmd/hetgridsim run -admission batched -shards 4 -workers 1 \
-		-metrics $(ARTIFACTS)/churn_storm_batched_w1.jsonl \
-		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_batched_w1.txt
-	$(GO) run ./cmd/hetgridsim run -admission batched -shards 4 -workers 2 \
-		-metrics $(ARTIFACTS)/churn_storm_batched_w2.jsonl \
-		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_batched_w2.txt
-	@cmp $(ARTIFACTS)/churn_storm_batched_w1.txt $(ARTIFACTS)/churn_storm_batched_w2.txt \
-		|| { echo "scenario-smoke: batched W=1 and W=2 reports differ"; exit 1; }
-	@cmp $(ARTIFACTS)/churn_storm_batched_w1.jsonl $(ARTIFACTS)/churn_storm_batched_w2.jsonl \
-		|| { echo "scenario-smoke: batched W=1 and W=2 telemetry differs"; exit 1; }
+	$(GO) run ./cmd/hetgridsim run -shards 4 -workers 1 \
+		-metrics $(ARTIFACTS)/churn_storm_w1.jsonl \
+		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_w1.txt
+	$(GO) run ./cmd/hetgridsim run -shards 4 -workers 2 \
+		-metrics $(ARTIFACTS)/churn_storm_w2.jsonl \
+		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_w2.txt
+	@cmp $(ARTIFACTS)/churn_storm_w1.txt $(ARTIFACTS)/churn_storm_w2.txt \
+		|| { echo "scenario-smoke: sharded W=1 and W=2 reports differ"; exit 1; }
+	@cmp $(ARTIFACTS)/churn_storm_w1.jsonl $(ARTIFACTS)/churn_storm_w2.jsonl \
+		|| { echo "scenario-smoke: sharded W=1 and W=2 telemetry differs"; exit 1; }
 	@sed 's/^    min: 36$$/    min: 40/' examples/scenarios/checkpointed_recovery.yaml \
 		> $(ARTIFACTS)/checkpoint_violated.yaml
 	@if $(GO) run ./cmd/hetgridsim run $(ARTIFACTS)/checkpoint_violated.yaml \
@@ -225,6 +225,6 @@ scenario-smoke: build
 		|| { echo "scenario-smoke: run -shards -1 did not fail"; exit 1; }
 	@! grep -q 'panic:' $(ARTIFACTS)/bad_shards.txt \
 		|| { echo "scenario-smoke: run -shards -1 panicked"; exit 1; }
-	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + batched worker parity, checkpoint gate enforced)"
+	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + worker parity, checkpoint gate enforced)"
 
 verify: build vet race bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke

@@ -932,19 +932,17 @@ func BenchmarkShardedHeartbeat100k(b *testing.B) {
 }
 
 // benchChurnStormSharded measures the sharded core under sustained
-// churn with barrier-batched admission: the join storm and warmup run
-// untimed, then 30 virtual seconds of the full population heartbeating
-// WHILE the churn driver keeps injecting joins, leaves and silent
-// failures on the batch plane. Unlike benchShardedHeartbeat, the timed
-// window includes admission work — the component batched admission
-// moves off the serial control plane and onto the workers.
+// churn: the join storm and warmup run untimed, then 30 virtual seconds
+// of the full population heartbeating WHILE the churn driver keeps
+// injecting joins, leaves and silent failures on the control plane.
+// Unlike benchShardedHeartbeat, the timed window includes admission
+// work: every churn event quiesces the shards.
 func benchChurnStormSharded(b *testing.B, nodes, shards, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := proto.DefaultConfig(proto.Adaptive)
 		cfg.HeartbeatPeriod = 10 * sim.Second
 		cfg.Seed = int64(i + 1)
-		cfg.BatchedAdmission = true
 		ss := proto.NewShardedSim(shards, workers, 3, cfg)
 		churn := proto.DefaultChurnConfig(nodes, 50*sim.Millisecond)
 		churn.JoinGap = sim.Millisecond
@@ -970,11 +968,12 @@ func benchChurnStormSharded(b *testing.B, nodes, shards, workers int) {
 	}
 }
 
-// BenchmarkChurnStormSharded is the gated batched-admission pair: the
+// BenchmarkChurnStormSharded is the gated sharded-churn pair: the
 // identical modest-scale churn-storm workload executed by one worker
 // and by all of them (S=4). Entries carry GOMAXPROCS in BENCH_*.json
 // and gate only against baselines at the same parallelism, so the pair
-// pins the batch plane's cost without judging parallel against serial.
+// pins the cost of churn on the control plane without judging parallel
+// against serial.
 func BenchmarkChurnStormSharded(b *testing.B) {
 	const nodes, shards = 2000, 4
 	wmax := runtime.GOMAXPROCS(0)
@@ -986,12 +985,10 @@ func BenchmarkChurnStormSharded(b *testing.B) {
 }
 
 // BenchmarkChurnStormSharded100k is the bench-xxl speedup smoke for
-// barrier-batched admission: the 100,000-node churn storm (S=8, batched
-// admission on) at one worker and at GOMAXPROCS. The W=1 / W=max ns/op
-// ratio read off the bench-xxl log is the parallel speedup on exactly
-// the regime the paper cares about; the acceptance bar on runners with
-// GOMAXPROCS ≥ 4 is a ≥ 2× ratio, and on a single-core machine the two
-// entries simply coincide.
+// sharded churn: the 100,000-node churn storm (S=8) at one worker and
+// at GOMAXPROCS. The W=1 / W=max ns/op ratio read off the bench-xxl log
+// is the parallel speedup on exactly the regime the paper cares about;
+// on a single-core machine the two entries simply coincide.
 func BenchmarkChurnStormSharded100k(b *testing.B) {
 	const shards = 8
 	b.Run("W=1", func(b *testing.B) {

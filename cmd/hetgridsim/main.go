@@ -58,7 +58,7 @@ func main() {
 	pprofPath := flag.String("pprof", "", "write a CPU profile to this file")
 	perfStats := flag.Bool("perfstats", false, "enable perf timers and print the counter report to stderr")
 	flag.Parse()
-	if err := checkFlags(*nodes, *jobs, *gpuslots, *seeds, *arrival, *constraint, *gpufrac, *metricsEvery); err != nil {
+	if err := checkFlags(*nodes, *jobs, *gpuslots, *seeds, *arrival, *constraint, *gpufrac, *sf, *gamma, *metricsEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "hetgridsim:", err)
 		os.Exit(2)
 	}
@@ -148,9 +148,10 @@ func main() {
 }
 
 // checkFlags rejects the flag values the load-balance run cannot take,
-// by the rules scenario validation applies to the matching keys
-// (gpu_slots above 3 is allowed here: more slots only add dimensions).
-func checkFlags(nodes, jobs, gpuslots, seeds int, arrival, constraint, gpufrac, metricsEvery float64) error {
+// by the rules scenario validation applies to the matching keys. The
+// stopping factor and contention coefficient have no scenario key; they
+// must be finite and non-negative.
+func checkFlags(nodes, jobs, gpuslots, seeds int, arrival, constraint, gpufrac, sf, gamma, metricsEvery float64) error {
 	switch {
 	case seeds < 1:
 		return fmt.Errorf("-seeds %d must be at least 1", seeds)
@@ -158,14 +159,18 @@ func checkFlags(nodes, jobs, gpuslots, seeds int, arrival, constraint, gpufrac, 
 		return fmt.Errorf("-nodes %d must not be negative", nodes)
 	case jobs < 0:
 		return fmt.Errorf("-jobs %d must not be negative", jobs)
-	case gpuslots < 0:
-		return fmt.Errorf("-gpuslots %d must not be negative", gpuslots)
+	case gpuslots < 0 || gpuslots > 3:
+		return fmt.Errorf("-gpuslots %d must be in 0..3", gpuslots)
 	case !(arrival > 0):
 		return fmt.Errorf("-arrival %g must be positive", arrival)
 	case !(constraint >= 0 && constraint <= 1):
 		return fmt.Errorf("-constraint %g must be in [0,1]", constraint)
 	case !(gpufrac >= 0 && gpufrac <= 1):
 		return fmt.Errorf("-gpufrac %g must be in [0,1]", gpufrac)
+	case !(sf >= 0) || math.IsInf(sf, 1):
+		return fmt.Errorf("-sf %g must be a finite number ≥ 0", sf)
+	case !(gamma >= 0) || math.IsInf(gamma, 1):
+		return fmt.Errorf("-gamma %g must be a finite number ≥ 0", gamma)
 	}
 	return checkInterval(metricsEvery)
 }

@@ -8,10 +8,10 @@ import (
 
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
-		nodes, jobs, gpuslots, seeds               int
-		arrival, constraint, gpufrac, metricsEvery float64
+		nodes, jobs, gpuslots, seeds                          int
+		arrival, constraint, gpufrac, sf, gamma, metricsEvery float64
 	}
-	def := flags{nodes: 1000, jobs: 20000, gpuslots: 2, seeds: 1, arrival: 3, constraint: 0.8, gpufrac: 0.4, metricsEvery: 60}
+	def := flags{nodes: 1000, jobs: 20000, gpuslots: 2, seeds: 1, arrival: 3, constraint: 0.8, gpufrac: 0.4, sf: 2, gamma: 0.3, metricsEvery: 60}
 	cases := []struct {
 		name string
 		edit func(*flags)
@@ -19,7 +19,9 @@ func TestCheckFlags(t *testing.T) {
 	}{
 		{"defaults", func(*flags) {}, ""},
 		{"empty grid", func(f *flags) { f.nodes, f.jobs = 0, 0 }, ""},
-		{"five gpu slots", func(f *flags) { f.gpuslots = 5 }, ""},
+		{"three gpu slots", func(f *flags) { f.gpuslots = 3 }, ""},
+		{"four gpu slots", func(f *flags) { f.gpuslots = 4 }, "-gpuslots"},
+		{"nine gpu slots", func(f *flags) { f.gpuslots = 9 }, "-gpuslots"},
 		{"ratio bounds", func(f *flags) { f.constraint, f.gpufrac = 0, 1 }, ""},
 		{"negative nodes", func(f *flags) { f.nodes = -1 }, "-nodes"},
 		{"negative jobs", func(f *flags) { f.jobs = -1 }, "-jobs"},
@@ -31,6 +33,14 @@ func TestCheckFlags(t *testing.T) {
 		{"negative constraint", func(f *flags) { f.constraint = -0.1 }, "-constraint"},
 		{"gpufrac above 1", func(f *flags) { f.gpufrac = 2 }, "-gpufrac"},
 		{"NaN gpufrac", func(f *flags) { f.gpufrac = math.NaN() }, "-gpufrac"},
+		{"sweep bounds", func(f *flags) { f.sf, f.gamma = 0.5, 0 }, ""},
+		{"large sf and gamma", func(f *flags) { f.sf, f.gamma = 8, 1 }, ""},
+		{"negative sf", func(f *flags) { f.sf = -1 }, "-sf"},
+		{"NaN sf", func(f *flags) { f.sf = math.NaN() }, "-sf"},
+		{"infinite sf", func(f *flags) { f.sf = math.Inf(1) }, "-sf"},
+		{"negative gamma", func(f *flags) { f.gamma = -5 }, "-gamma"},
+		{"NaN gamma", func(f *flags) { f.gamma = math.NaN() }, "-gamma"},
+		{"infinite gamma", func(f *flags) { f.gamma = math.Inf(1) }, "-gamma"},
 		{"many seeds", func(f *flags) { f.seeds = 8 }, ""},
 		{"zero seeds", func(f *flags) { f.seeds = 0 }, "-seeds"},
 		{"negative seeds", func(f *flags) { f.seeds = -2 }, "-seeds"},
@@ -45,7 +55,7 @@ func TestCheckFlags(t *testing.T) {
 	for _, tc := range cases {
 		f := def
 		tc.edit(&f)
-		err := checkFlags(f.nodes, f.jobs, f.gpuslots, f.seeds, f.arrival, f.constraint, f.gpufrac, f.metricsEvery)
+		err := checkFlags(f.nodes, f.jobs, f.gpuslots, f.seeds, f.arrival, f.constraint, f.gpufrac, f.sf, f.gamma, f.metricsEvery)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

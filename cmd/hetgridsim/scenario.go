@@ -46,7 +46,6 @@ func runScenarios(args []string) int {
 	engine := fs.String("engine", "", "override the spec's engine: serial or sharded")
 	shards := fs.Int("shards", 0, "override the spec's shard count (implies -engine sharded)")
 	workers := fs.Int("workers", 0, "override the spec's worker count, 0 = GOMAXPROCS (implies -engine sharded)")
-	admission := fs.String("admission", "", "override the spec's admission mode: strict or batched (implies -engine sharded)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -58,12 +57,6 @@ func runScenarios(args []string) int {
 	case "", "serial", "sharded":
 	default:
 		fmt.Fprintf(os.Stderr, "hetgridsim run: unknown -engine %q (serial or sharded)\n", *engine)
-		return 2
-	}
-	switch *admission {
-	case "", "strict", "batched":
-	default:
-		fmt.Fprintf(os.Stderr, "hetgridsim run: unknown -admission %q (strict or batched)\n", *admission)
 		return 2
 	}
 	paths := fs.Args()
@@ -94,9 +87,10 @@ func runScenarios(args []string) int {
 		}
 		// Flag overrides: -shards/-workers select the sharded core even
 		// when the spec does not; an explicit -engine always wins. The
-		// engines produce byte-identical reports, so an override changes
-		// wall-clock behavior only.
-		if *shards > 0 || *workers > 0 || *admission != "" {
+		// scenario world rejects an override the spec cannot run on (a
+		// heartbeat no longer than the sharded core's lookahead) with an
+		// error.
+		if *shards > 0 || *workers > 0 {
 			spec.Engine = "sharded"
 		}
 		if *engine != "" {
@@ -107,9 +101,6 @@ func runScenarios(args []string) int {
 		}
 		if *workers > 0 {
 			spec.Workers = *workers
-		}
-		if *admission != "" {
-			spec.Admission = *admission
 		}
 		res, err := scenario.RunSampled(spec, sim.FromSeconds(*metricsEvery))
 		if err != nil {

@@ -19,11 +19,6 @@ type ShardedNet struct {
 	latency sim.Duration
 	shardOf func(can.NodeID) int
 	facets  []*Net
-
-	// batched routes closure deliveries (Send/SendAt) to the batch
-	// plane instead of the global plane — set once, before traffic, by
-	// models running batched admission (see proto.Config.BatchedAdmission).
-	batched bool
 }
 
 // NewSharded creates a facet transport over the sharded engine. The
@@ -88,11 +83,6 @@ func (sn *ShardedNet) LinkDrops() int64 {
 	}
 	return n
 }
-
-// SetBatchedDelivery routes closure deliveries through the batch plane
-// (see proto's batched-admission mode). It must be set before any
-// traffic flows.
-func (sn *ShardedNet) SetBatchedDelivery(on bool) { sn.batched = on }
 
 // Total returns cumulative counters summed across facets.
 func (sn *ShardedNet) Total() Counters {

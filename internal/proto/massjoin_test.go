@@ -9,8 +9,8 @@ import (
 	"hetgrid/internal/sim"
 )
 
-// massJoinReport grows an overlay by n direct strict-mode admissions
-// (no churn driver, no batching) and returns the full battery report.
+// massJoinReport grows an overlay by n direct admissions (no churn
+// driver) and returns the full battery report.
 // Mass join is the densest source of same-instant cross-row mail: every
 // completion fans intro messages out *on behalf of the splitting owner*
 // through the newcomer's shard facet, so equal-(at,key) entries land in

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"hetgrid/internal/proto"
 	"hetgrid/internal/sim"
 )
 
@@ -24,7 +25,6 @@ type Spec struct {
 	Engine      string       // serial (default) | sharded
 	Shards      int          // sharded engine: shard count (0 = default 4)
 	Workers     int          // sharded engine: worker goroutines (0 = GOMAXPROCS)
-	Admission   string       // sharded engine: admission mode — strict (default) | batched
 	Grid        GridSpec
 	Workload    WorkloadSpec
 	Events      []Event
@@ -42,10 +42,6 @@ func (s *Spec) ShardCount() int {
 	}
 	return 4
 }
-
-// BatchedAdmission reports whether the spec selects batched admission
-// on the sharded core.
-func (s *Spec) BatchedAdmission() bool { return s.Admission == "batched" }
 
 // GridSpec describes the fleet and the maintenance protocol.
 type GridSpec struct {
@@ -145,13 +141,12 @@ func Load(src string) (*Spec, error) {
 	top := d.mapping(root, "scenario")
 
 	spec := &Spec{
-		Name:      d.str(top, "name", ""),
-		Seed:      d.int64(top, "seed", 1),
-		Duration:  d.dur(top, "duration", 0),
-		Engine:    d.str(top, "engine", "serial"),
-		Shards:    d.count(top, "shards", 0),
-		Workers:   d.count(top, "workers", 0),
-		Admission: d.str(top, "admission", ""),
+		Name:     d.str(top, "name", ""),
+		Seed:     d.int64(top, "seed", 1),
+		Duration: d.dur(top, "duration", 0),
+		Engine:   d.str(top, "engine", "serial"),
+		Shards:   d.count(top, "shards", 0),
+		Workers:  d.count(top, "workers", 0),
 	}
 
 	g := d.mapping(top["grid"], "grid")
@@ -221,13 +216,29 @@ func Load(src string) (*Spec, error) {
 			"no_orphans", "max_lost", "min_finished", "max_broken_links", "bounds")
 	}
 
-	d.rejectUnknown(top, "scenario", "name", "seed", "duration", "engine", "shards", "workers", "admission", "grid", "workload", "events", "checkpoints", "assert")
+	d.rejectUnknown(top, "scenario", "name", "seed", "duration", "engine", "shards", "workers", "grid", "workload", "events", "checkpoints", "assert")
 	d.rejectUnknown(g, "grid", "nodes", "racks", "gpu_slots", "protocol", "heartbeat", "scheduler", "refresh")
 
 	if d.err != nil {
 		return nil, d.err
 	}
 	return spec, spec.validate()
+}
+
+// checkHeartbeat rejects a heartbeat period the selected engine cannot
+// run: a zero period (a tick that reschedules itself at the same
+// instant forever) and, on the sharded core, one no longer than the
+// message latency, which bounds its conservative windows. The scenario
+// world applies the same check, so engine overrides made after Load
+// fail with this error too.
+func (s *Spec) checkHeartbeat() error {
+	if s.Grid.Heartbeat <= 0 {
+		return fmt.Errorf("scenario %s: grid.heartbeat must be at least 1ms", s.Name)
+	}
+	if lat := proto.DefaultConfig(protoScheme(s.Grid.Protocol)).Latency; s.Sharded() && s.Grid.Heartbeat <= lat {
+		return fmt.Errorf("scenario %s: engine sharded requires grid.heartbeat > %s", s.Name, fmtDur(lat))
+	}
+	return nil
 }
 
 func (s *Spec) validate() error {
@@ -269,18 +280,13 @@ func (s *Spec) validate() error {
 	if (s.Shards > 0 || s.Workers > 0) && !s.Sharded() {
 		return fmt.Errorf("scenario %s: shards/workers require `engine: sharded`", s.Name)
 	}
-	switch s.Admission {
-	case "", "strict", "batched":
-	default:
-		return fmt.Errorf("scenario %s: unknown admission mode %q (strict or batched)", s.Name, s.Admission)
-	}
-	if s.Admission != "" && !s.Sharded() {
-		return fmt.Errorf("scenario %s: admission modes require `engine: sharded`", s.Name)
-	}
 	switch s.Grid.Protocol {
 	case "vanilla", "compact", "adaptive":
 	default:
 		return fmt.Errorf("scenario %s: unknown protocol %q", s.Name, s.Grid.Protocol)
+	}
+	if err := s.checkHeartbeat(); err != nil {
+		return err
 	}
 	switch s.Grid.Scheduler {
 	case "can-het", "can-hom", "central":

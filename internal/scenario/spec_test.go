@@ -86,8 +86,11 @@ func TestLoadErrors(t *testing.T) {
 		{"workers without sharded", "name: x\nduration: 1m\nengine: serial\nworkers: 2\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
 		{"negative shards", "name: x\nduration: 1m\nengine: sharded\nshards: -1\ngrid:\n  nodes: 4\n", "shards must be non-negative"},
 		{"unknown window", "name: x\nduration: 1m\nengine: sharded\nwindow: adaptive\ngrid:\n  nodes: 4\n", `unknown field "window"`},
-		{"unknown admission", "name: x\nduration: 1m\nengine: sharded\nadmission: eager\ngrid:\n  nodes: 4\n", "unknown admission mode"},
-		{"admission without sharded", "name: x\nduration: 1m\nengine: serial\nadmission: batched\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
+		{"unknown admission", "name: x\nduration: 1m\nengine: sharded\nadmission: batched\ngrid:\n  nodes: 4\n", `unknown field "admission"`},
+		{"zero heartbeat", "name: x\nduration: 5m\ngrid:\n  nodes: 1\n  heartbeat: 0s\n", "grid.heartbeat must be at least 1ms"},
+		{"sub-tick heartbeat", "name: x\nduration: 5m\ngrid:\n  nodes: 1\n  heartbeat: 500us\n", "grid.heartbeat must be at least 1ms"},
+		{"sharded heartbeat below latency", "name: x\nduration: 1m\nengine: sharded\ngrid:\n  nodes: 4\n  heartbeat: 1ms\n", "engine sharded requires grid.heartbeat > 100ms"},
+		{"sharded heartbeat at latency", "name: x\nduration: 1m\nengine: sharded\ngrid:\n  nodes: 4\n  heartbeat: 100ms\n", "engine sharded requires grid.heartbeat > 100ms"},
 		{"gpu slots range", "name: x\nduration: 1m\ngrid:\n  nodes: 4\n  gpu_slots: 9\n", "gpu_slots must be in 0..3"},
 		{"zero mean gap", valid + "workload:\n  jobs: 5\n  mean_gap: 0s\n", "mean_gap must be positive"},
 		{"gpu fraction range", valid + "workload:\n  jobs: 5\n  gpu_fraction: 3\n", "gpu_fraction must be in [0,1]"},
@@ -101,6 +104,18 @@ func TestLoadErrors(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestShardedOverrideRejectsShortHeartbeat covers the path validation
+// cannot see: a valid serial spec switched to the sharded core after
+// Load (as `hetgridsim run -shards N` does) must fail with an error, not
+// reach the sharded core's constructor panic.
+func TestShardedOverrideRejectsShortHeartbeat(t *testing.T) {
+	spec := mustLoad(t, "name: x\nduration: 1m\ngrid:\n  nodes: 4\n  heartbeat: 1ms\n")
+	spec.Engine = "sharded"
+	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "engine sharded requires grid.heartbeat > 100ms") {
+		t.Fatalf("Run = %v, want the sharded heartbeat error", err)
 	}
 }
 
@@ -120,18 +135,6 @@ func TestLoadEngineKeys(t *testing.T) {
 	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\ngrid:\n  nodes: 4\n")
 	if spec.ShardCount() != 4 || spec.Workers != 0 {
 		t.Errorf("sharded defaults = S=%d W=%d, want S=4 W=0 (GOMAXPROCS)", spec.ShardCount(), spec.Workers)
-	}
-	if spec.BatchedAdmission() {
-		t.Errorf("default admission = %q, want strict", spec.Admission)
-	}
-	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\nadmission: batched\ngrid:\n  nodes: 4\n")
-	if !spec.BatchedAdmission() {
-		t.Errorf("admission key = %q, want batched", spec.Admission)
-	}
-	// The explicit default spells out the same mode.
-	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\nadmission: strict\ngrid:\n  nodes: 4\n")
-	if spec.BatchedAdmission() {
-		t.Errorf("explicit default admission = %q, want strict", spec.Admission)
 	}
 }
 

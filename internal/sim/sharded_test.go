@@ -327,18 +327,6 @@ func (a *fuzzActor) Call(now Time) {
 			fuzzGlobal += splitmix64(uint64(gnow) ^ r)
 		})
 	}
-	// Occasional batch event: runs at a window barrier and hoists an
-	// effect back to its own instant on a target's shard — the shape of
-	// batched admission (a completion installing state the window about
-	// to run must observe). Both the barrier-side counter and the
-	// hoisted in-window delivery must stay (S, W)-invariant.
-	if r%11 == 0 {
-		dst := int(r>>24) % a.actors
-		a.se.PostBatch(myShard, now.Add(a.se.Lookahead()), uint64(a.id), func(bnow Time) {
-			fuzzGlobal += splitmix64(uint64(bnow) ^ r ^ 0xb47c)
-			a.se.Shard(dst%a.shards).AtCall(bnow, &fuzzMsg{payload: splitmix64(r), dst: fuzzPeers[dst]})
-		})
-	}
 	// Mid-window join wave: wake a reserve actor by posting its first
 	// firing through the mailbox. Activation needs no coordination —
 	// the actor is its own Caller, and a double activation just splits
@@ -415,10 +403,6 @@ func FuzzShardedDeterminism(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(0))
 	f.Add(uint64(0xdeadbeef), uint8(12), uint8(0))
 	f.Add(uint64(31337), uint8(3), uint8(0))
-	// Batch-plane corpus: seeds chosen to produce dense r%11 batch
-	// events — several in one window, batch events colliding with
-	// window barriers, and barrier-hoisted deliveries racing shard
-	// events at the same instant.
 	f.Add(uint64(0xba7c4), uint8(15), uint8(0))
 	f.Add(uint64(0x9e3779b9), uint8(11), uint8(0))
 	// Churn corpus: seeds dense in join waves (r%5) and serial fan-outs
@@ -429,9 +413,8 @@ func FuzzShardedDeterminism(f *testing.F) {
 	f.Add(uint64(0xc0ffee11), uint8(14), uint8(0))
 	f.Add(uint64(0x1234fedc), uint8(7), uint8(0))
 	// Steady-state corpus: heartbeat-like periods (period/lookahead
-	// ratios 2–7) with global events (r%7) landing on window ends, join
-	// waves (r%5) waking reserves mid-steady-state, and batch events
-	// (r%11) interrupting it.
+	// ratios 2–7) with global events (r%7) landing on window ends and
+	// join waves (r%5) waking reserves mid-steady-state.
 	f.Add(uint64(0x5ead57a7e), uint8(6), uint8(3))
 	f.Add(uint64(0x7e4b0a7d), uint8(10), uint8(7))
 	f.Add(uint64(0xadab7), uint8(13), uint8(5))
